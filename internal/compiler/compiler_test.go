@@ -7,6 +7,7 @@ import (
 	"pimphony/internal/isa"
 	"pimphony/internal/kernels"
 	"pimphony/internal/model"
+	"pimphony/internal/pim"
 	"pimphony/internal/timing"
 )
 
@@ -121,8 +122,8 @@ func TestLoweredQKTMatchesKernelBuilder(t *testing.T) {
 		}
 		// Kernel builder: per-channel slice of tokens/channels.
 		kc := kernels.NewConfig(dev, kernels.OBufBuffers(dev))
-		stack, err := kc.QKT(tokens/dev.Channels, 128, 1, false)
-		if err != nil {
+		stack := new(pim.Stack)
+		if err := kc.QKT(stack, tokens/dev.Channels, 128, 1, false); err != nil {
 			t.Fatal(err)
 		}
 		st := kernels.StackStats(stack)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimphony/internal/kernels"
+	"pimphony/internal/pim"
 	"pimphony/internal/sched"
 	"pimphony/internal/timing"
 )
@@ -34,8 +35,8 @@ func TestBackgroundShareCollapsesWithDCS(t *testing.T) {
 	dev := timing.AiM16()
 	m := Default()
 	cfg := kernels.NewConfig(dev, kernels.BaselineBuffers(dev))
-	stack, err := cfg.SV(4096, 128, 1, false)
-	if err != nil {
+	stack := new(pim.Stack)
+	if err := cfg.SV(stack, 4096, 128, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	st, err := (&sched.Static{Dev: dev}).Schedule(stack)
@@ -43,8 +44,8 @@ func TestBackgroundShareCollapsesWithDCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg2 := kernels.NewConfig(dev, kernels.OBufBuffers(dev))
-	stack2, err := cfg2.SV(4096, 128, 1, false)
-	if err != nil {
+	stack2 := new(pim.Stack)
+	if err := cfg2.SV(stack2, 4096, 128, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	dc, err := (&sched.DCS{Dev: dev}).Schedule(stack2)

@@ -269,8 +269,8 @@ func AblationOBufDepth() (*Result, error) {
 	rows, err := sweep.Rows(context.Background(), []int{2, 4, 8, 16, 32},
 		func(_ context.Context, entries int) ([]any, error) {
 			cfg := kernels.NewConfig(dev, kernels.Buffers{GBufEntries: dev.GBufEntries(), OutEntries: entries})
-			stack, err := cfg.SV(4096, 128, 1, false)
-			if err != nil {
+			stack := new(pim.Stack)
+			if err := cfg.SV(stack, 4096, 128, 1, false); err != nil {
 				return nil, err
 			}
 			res, err := (&sched.DCS{Dev: dev}).Schedule(stack)

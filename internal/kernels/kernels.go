@@ -9,6 +9,9 @@
 // cannot hold the operand and partial output drains when the accumulator
 // file (baseline OutReg vs PIMphony OBuf) is too small to keep all live
 // partial sums resident.
+//
+// A builder resets the caller's stack and fills it, so a caller building
+// many kernels reuses one stack's capacity instead of growing a new one.
 package kernels
 
 import (
@@ -51,89 +54,87 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // Allocator helpers
 // ---------------------------------------------------------------------------
 
-// gbufAlloc manages Global Buffer residency for input tiles. Acquiring a
-// non-resident tile emits a WR-INP into a round-robin entry; acquiring a
-// resident tile is free (data reuse).
-type gbufAlloc struct {
-	s       *pim.Stack
-	entries int
-	owner   []int       // entry -> tile key (-1 free)
-	slot    map[int]int // tile key -> entry
-	next    int
-	writes  int
+// negOnes returns an int slice of length n filled with -1 ("none").
+func negOnes(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = -1
+	}
+	return s
 }
 
-func newGBufAlloc(s *pim.Stack, entries int) *gbufAlloc {
-	owner := make([]int, entries)
-	for i := range owner {
-		owner[i] = -1
-	}
-	return &gbufAlloc{s: s, entries: entries, owner: owner, slot: make(map[int]int)}
+// gbufAlloc manages Global Buffer residency for input tiles. Acquiring a
+// non-resident tile emits a WR-INP into a round-robin entry; acquiring a
+// resident tile is free (data reuse). Tile keys are dense in [0, keys).
+type gbufAlloc struct {
+	s     *pim.Stack
+	owner []int // entry -> tile key (-1 free)
+	slot  []int // tile key -> entry (-1 not resident)
+	next  int
+}
+
+func newGBufAlloc(s *pim.Stack, entries, keys int) *gbufAlloc {
+	return &gbufAlloc{s: s, owner: negOnes(entries), slot: negOnes(keys)}
 }
 
 // acquire returns the GBuf entry holding the tile, streaming it in first if
 // needed.
 func (a *gbufAlloc) acquire(key int) int {
-	if e, ok := a.slot[key]; ok {
+	if e := a.slot[key]; e >= 0 {
 		return e
 	}
 	e := a.next
-	a.next = (a.next + 1) % a.entries
+	a.next = (a.next + 1) % len(a.owner)
 	if old := a.owner[e]; old >= 0 {
-		delete(a.slot, old)
+		a.slot[old] = -1
 	}
 	a.owner[e] = key
 	a.slot[key] = e
 	a.s.WrInp(e)
-	a.writes++
 	return e
 }
 
 // invalidateAll drops residency info (e.g. when a kernel phase reuses keys).
+// It visits only the entries, never the key space.
 func (a *gbufAlloc) invalidateAll() {
-	for i := range a.owner {
-		a.owner[i] = -1
+	for e, key := range a.owner {
+		if key >= 0 {
+			a.slot[key] = -1
+			a.owner[e] = -1
+		}
 	}
-	a.slot = make(map[int]int)
 }
 
 // outAlloc manages per-bank accumulator entries. Acquiring an accumulator
 // for a new logical output while all entries are live evicts the
 // round-robin victim with a partial RD-OUT drain (the EPU merges partial
-// sums in the GPR).
+// sums in the GPR). Output keys are dense in [0, keys).
 type outAlloc struct {
-	s       *pim.Stack
-	entries int
-	owner   []int // entry -> logical output key (-1 free)
-	dirty   []bool
-	slot    map[int]int
-	next    int
-	drains  int
+	s     *pim.Stack
+	owner []int // entry -> logical output key (-1 free)
+	dirty []bool
+	slot  []int // output key -> entry (-1 not live)
+	next  int
 }
 
-func newOutAlloc(s *pim.Stack, entries int) *outAlloc {
-	owner := make([]int, entries)
-	for i := range owner {
-		owner[i] = -1
-	}
-	return &outAlloc{s: s, entries: entries, owner: owner, dirty: make([]bool, entries), slot: make(map[int]int)}
+func newOutAlloc(s *pim.Stack, entries, keys int) *outAlloc {
+	return &outAlloc{s: s, owner: negOnes(entries), dirty: make([]bool, entries), slot: negOnes(keys)}
 }
 
 // acquire returns the accumulator entry for the logical output key,
 // draining a victim if necessary.
 func (a *outAlloc) acquire(key int) int {
-	if e, ok := a.slot[key]; ok {
+	if e := a.slot[key]; e >= 0 {
 		return e
 	}
 	e := a.next
-	a.next = (a.next + 1) % a.entries
+	a.next = (a.next + 1) % len(a.owner)
 	if old := a.owner[e]; old >= 0 {
 		if a.dirty[e] {
 			a.s.RdOut(e)
-			a.drains++
 			a.dirty[e] = false
 		}
-		delete(a.slot, old)
+		a.slot[old] = -1
 	}
 	a.owner[e] = key
 	a.slot[key] = e
@@ -146,16 +147,15 @@ func (a *outAlloc) mac(e int) { a.dirty[e] = true }
 // release drains the accumulator of key if live and dirty (a completed
 // logical output).
 func (a *outAlloc) release(key int) {
-	e, ok := a.slot[key]
-	if !ok {
+	e := a.slot[key]
+	if e < 0 {
 		return
 	}
 	if a.dirty[e] {
 		a.s.RdOut(e)
-		a.drains++
 		a.dirty[e] = false
 	}
-	delete(a.slot, key)
+	a.slot[key] = -1
 	a.owner[e] = -1
 }
 
@@ -164,7 +164,6 @@ func (a *outAlloc) flush() {
 	for e := range a.owner {
 		if a.owner[e] >= 0 && a.dirty[e] {
 			a.s.RdOut(e)
-			a.drains++
 			a.dirty[e] = false
 		}
 	}
@@ -174,7 +173,6 @@ func (a *outAlloc) flush() {
 type rowTracker struct {
 	s    *pim.Stack
 	open int // -1 = closed
-	acts int
 }
 
 func newRowTracker(s *pim.Stack) *rowTracker { return &rowTracker{s: s, open: -1} }
@@ -187,7 +185,6 @@ func (r *rowTracker) mac(gbuf, out, addr, tilesPerRow int) {
 			r.s.Pre(r.open)
 		}
 		r.s.Act(row)
-		r.acts++
 		r.open = row
 	}
 	r.s.Mac(gbuf, out, row, col)
@@ -205,19 +202,19 @@ func (r *rowTracker) close() {
 // GEMV / FC
 // ---------------------------------------------------------------------------
 
-// GEMV builds the command stack of a (1 x din) * (din x dout) GEMV with the
-// weight matrix resident in the channel's DRAM. The input vector streams
+// GEMV builds into st the command stack of a (1 x din) * (din x dout) GEMV
+// with the weight matrix resident in the channel's DRAM. The input vector streams
 // into GBuf in blocks (the whole vector when it fits); for each resident
 // block every output group accumulates its MACs, with the accumulator file
 // bounding how many groups stay live before a partial drain. The compiler
 // owns the weight layout, so tiles are stored in traversal order — each
 // weight tile is read exactly once and rows are walked sequentially.
-func (c Config) GEMV(din, dout int) (*pim.Stack, error) {
+func (c Config) GEMV(st *pim.Stack, din, dout int) error {
 	if din <= 0 || dout <= 0 {
-		return nil, fmt.Errorf("kernels: GEMV dims must be positive, got (%d,%d)", din, dout)
+		return fmt.Errorf("kernels: GEMV dims must be positive, got (%d,%d)", din, dout)
 	}
 	d := c.Dev
-	s := pim.NewStack(c.Buf.GBufEntries, c.Buf.OutEntries)
+	st.Reset(c.Buf.GBufEntries, c.Buf.OutEntries)
 	e := d.ElemsPerTile()
 	inTiles := ceilDiv(din, e)
 	groups := ceilDiv(dout, d.Banks)
@@ -227,9 +224,9 @@ func (c Config) GEMV(din, dout int) (*pim.Stack, error) {
 		block = inTiles
 	}
 
-	gb := newGBufAlloc(s, c.Buf.GBufEntries)
-	out := newOutAlloc(s, c.Buf.OutEntries)
-	rows := newRowTracker(s)
+	gb := newGBufAlloc(st, c.Buf.GBufEntries, inTiles)
+	out := newOutAlloc(st, c.Buf.OutEntries, groups)
+	rows := newRowTracker(st)
 
 	addr := 0 // weights laid out in traversal order
 	for k0 := 0; k0 < inTiles; k0 += block {
@@ -252,18 +249,18 @@ func (c Config) GEMV(din, dout int) (*pim.Stack, error) {
 	}
 	rows.close()
 	out.flush()
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("kernels: GEMV(%d,%d) built invalid stack: %w", din, dout, err)
+	if err := st.Validate(); err != nil {
+		return fmt.Errorf("kernels: GEMV(%d,%d) built invalid stack: %w", din, dout, err)
 	}
-	return s, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Attention QK^T
 // ---------------------------------------------------------------------------
 
-// QKT builds the score kernel for one attention head slice on one channel:
-// `tokens` keys resident in DRAM, `queries` query vectors of dimension dh
+// QKT builds into st the score kernel for one attention head slice on one
+// channel: `tokens` keys resident in DRAM, `queries` query vectors of dimension dh
 // (queries > 1 models GQA where a group of query heads shares the keys).
 //
 // With rowReuse=true the kernel iterates DRAM rows in the outer loop and
@@ -271,12 +268,12 @@ func (c Config) GEMV(din, dout int) (*pim.Stack, error) {
 // visit (the paper's row-reuse mapping: fewer ACT/PRE, more WR-INP). With
 // rowReuse=false each query performs a full pass over the key rows with its
 // tiles resident in GBuf (more ACT/PRE, fewer WR-INP).
-func (c Config) QKT(tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) {
+func (c Config) QKT(st *pim.Stack, tokens, dh, queries int, rowReuse bool) error {
 	if tokens <= 0 || dh <= 0 || queries <= 0 {
-		return nil, fmt.Errorf("kernels: QKT args must be positive, got tokens=%d dh=%d queries=%d", tokens, dh, queries)
+		return fmt.Errorf("kernels: QKT args must be positive, got tokens=%d dh=%d queries=%d", tokens, dh, queries)
 	}
 	d := c.Dev
-	s := pim.NewStack(c.Buf.GBufEntries, c.Buf.OutEntries)
+	st.Reset(c.Buf.GBufEntries, c.Buf.OutEntries)
 	e := d.ElemsPerTile()
 	dhTiles := ceilDiv(dh, e)
 	groups := ceilDiv(tokens, d.Banks) // one score group = Banks keys
@@ -287,9 +284,9 @@ func (c Config) QKT(tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) 
 	}
 	nRows := ceilDiv(groups, slotsPerRow)
 
-	gb := newGBufAlloc(s, c.Buf.GBufEntries)
-	out := newOutAlloc(s, c.Buf.OutEntries)
-	rows := newRowTracker(s)
+	gb := newGBufAlloc(st, c.Buf.GBufEntries, queries*dhTiles)
+	out := newOutAlloc(st, c.Buf.OutEntries, queries*groups)
+	rows := newRowTracker(st)
 
 	macGroup := func(q, g int) {
 		key := q*groups + g
@@ -328,18 +325,18 @@ func (c Config) QKT(tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) 
 	}
 	rows.close()
 	out.flush()
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("kernels: QKT(tokens=%d dh=%d q=%d rowReuse=%v) invalid: %w", tokens, dh, queries, rowReuse, err)
+	if err := st.Validate(); err != nil {
+		return fmt.Errorf("kernels: QKT(tokens=%d dh=%d q=%d rowReuse=%v) invalid: %w", tokens, dh, queries, rowReuse, err)
 	}
-	return s, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Attention SV
 // ---------------------------------------------------------------------------
 
-// SV builds the value-aggregation kernel for one head slice on one channel:
-// y = s * V where s holds `tokens` softmax scores (per query) and V is the
+// SV builds into st the value-aggregation kernel for one head slice on one
+// channel: y = s * V where s holds `tokens` softmax scores (per query) and V is the
 // tokens x dh value cache. The score vector is the streamed input (low
 // reuse: the paper's I/O-bound case); the dh outputs form dh/Banks groups.
 //
@@ -349,20 +346,20 @@ func (c Config) QKT(tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) 
 // groups and streams the scores once. With rowReuse=true and queries > 1,
 // DRAM rows are the outer loop and each query's score chunks are re-streamed
 // per row visit.
-func (c Config) SV(tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) {
+func (c Config) SV(st *pim.Stack, tokens, dh, queries int, rowReuse bool) error {
 	if tokens <= 0 || dh <= 0 || queries <= 0 {
-		return nil, fmt.Errorf("kernels: SV args must be positive, got tokens=%d dh=%d queries=%d", tokens, dh, queries)
+		return fmt.Errorf("kernels: SV args must be positive, got tokens=%d dh=%d queries=%d", tokens, dh, queries)
 	}
 	d := c.Dev
-	s := pim.NewStack(c.Buf.GBufEntries, c.Buf.OutEntries)
+	st.Reset(c.Buf.GBufEntries, c.Buf.OutEntries)
 	e := d.ElemsPerTile()
 	chunks := ceilDiv(tokens, e)   // score tiles per query
 	groups := ceilDiv(dh, d.Banks) // output groups (dh across banks)
 	tilesPerRow := d.TilesPerRow()
 
-	gb := newGBufAlloc(s, c.Buf.GBufEntries)
-	out := newOutAlloc(s, c.Buf.OutEntries)
-	rows := newRowTracker(s)
+	gb := newGBufAlloc(st, c.Buf.GBufEntries, queries*chunks)
+	out := newOutAlloc(st, c.Buf.OutEntries, queries*groups)
+	rows := newRowTracker(st)
 
 	// V layout is token-major per group batch: addr = k*groups + o so a
 	// streaming pass over chunks walks rows sequentially.
@@ -422,10 +419,10 @@ func (c Config) SV(tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) {
 	}
 	rows.close()
 	out.flush()
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("kernels: SV(tokens=%d dh=%d q=%d rowReuse=%v) invalid: %w", tokens, dh, queries, rowReuse, err)
+	if err := st.Validate(); err != nil {
+		return fmt.Errorf("kernels: SV(tokens=%d dh=%d q=%d rowReuse=%v) invalid: %w", tokens, dh, queries, rowReuse, err)
 	}
-	return s, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -18,9 +19,25 @@ func cfg(t *testing.T, baseline bool) Config {
 	return NewConfig(d, OBufBuffers(d))
 }
 
+// gemv, qkt and sv run a builder into a fresh stack.
+func gemv(c Config, din, dout int) (*pim.Stack, error) {
+	s := new(pim.Stack)
+	return s, c.GEMV(s, din, dout)
+}
+
+func qkt(c Config, tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) {
+	s := new(pim.Stack)
+	return s, c.QKT(s, tokens, dh, queries, rowReuse)
+}
+
+func sv(c Config, tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) {
+	s := new(pim.Stack)
+	return s, c.SV(s, tokens, dh, queries, rowReuse)
+}
+
 func TestGEMVCommandCounts(t *testing.T) {
 	c := cfg(t, false)
-	s, err := c.GEMV(128, 128)
+	s, err := gemv(c, 128, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +62,7 @@ func TestGEMVCommandCounts(t *testing.T) {
 func TestGEMVBlockedMappingWritesInputsOnce(t *testing.T) {
 	d := timing.AiM16()
 	small := NewConfig(d, Buffers{GBufEntries: 4, OutEntries: 8})
-	s, err := small.GEMV(128, 64) // 8 input tiles > 4 GBuf entries -> 2 blocks
+	s, err := gemv(small, 128, 64) // 8 input tiles > 4 GBuf entries -> 2 blocks
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +80,7 @@ func TestGEMVBlockedMappingWritesInputsOnce(t *testing.T) {
 func TestGEMVPartialDrainsWhenAccumulatorsScarce(t *testing.T) {
 	d := timing.AiM16()
 	tight := NewConfig(d, Buffers{GBufEntries: 4, OutEntries: 2})
-	s, err := tight.GEMV(128, 64) // 4 groups but only 2 accumulators
+	s, err := gemv(tight, 128, 64) // 4 groups but only 2 accumulators
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +99,7 @@ func TestGEMVMACCountInvariant(t *testing.T) {
 	f := func(a, b uint16) bool {
 		din := int(a%256)*16 + 16
 		dout := int(b%256)*16 + 16
-		s, err := c.GEMV(din, dout)
+		s, err := gemv(c, din, dout)
 		if err != nil {
 			return false
 		}
@@ -97,10 +114,10 @@ func TestGEMVMACCountInvariant(t *testing.T) {
 
 func TestGEMVRejectsBadDims(t *testing.T) {
 	c := cfg(t, false)
-	if _, err := c.GEMV(0, 16); err == nil {
+	if _, err := gemv(c, 0, 16); err == nil {
 		t.Error("GEMV(0,16) should fail")
 	}
-	if _, err := c.GEMV(16, -1); err == nil {
+	if _, err := gemv(c, 16, -1); err == nil {
 		t.Error("GEMV(16,-1) should fail")
 	}
 }
@@ -108,7 +125,7 @@ func TestGEMVRejectsBadDims(t *testing.T) {
 func TestQKTCounts(t *testing.T) {
 	c := cfg(t, false)
 	tokens, dh := 1024, 128
-	s, err := c.QKT(tokens, dh, 1, false)
+	s, err := qkt(c, tokens, dh, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +145,11 @@ func TestQKTCounts(t *testing.T) {
 func TestQKTRowReuseTradesActForWrInp(t *testing.T) {
 	c := cfg(t, false)
 	tokens, dh, g := 2048, 128, 8
-	reuse, err := c.QKT(tokens, dh, g, true)
+	reuse, err := qkt(c, tokens, dh, g, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noReuse, err := c.QKT(tokens, dh, g, false)
+	noReuse, err := qkt(c, tokens, dh, g, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +171,11 @@ func TestSVBaselineRestreamsScores(t *testing.T) {
 	obuf := NewConfig(d, OBufBuffers(d))
 	tokens, dh := 2048, 128
 
-	sb, err := base.SV(tokens, dh, 1, false)
+	sb, err := sv(base, tokens, dh, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, err := obuf.SV(tokens, dh, 1, false)
+	so, err := sv(obuf, tokens, dh, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +198,11 @@ func TestSVBaselineRestreamsScores(t *testing.T) {
 func TestSVRowReuseStreamsPerRowVisit(t *testing.T) {
 	c := cfg(t, false)
 	tokens, dh, g := 1024, 128, 4
-	reuse, err := c.SV(tokens, dh, g, true)
+	reuse, err := sv(c, tokens, dh, g, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noReuse, err := c.SV(tokens, dh, g, false)
+	noReuse, err := sv(c, tokens, dh, g, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +229,11 @@ func TestAttentionMACWork(t *testing.T) {
 		} else {
 			c = NewConfig(d, OBufBuffers(d))
 		}
-		qkt, err := c.QKT(tokens, 128, g, reuse)
+		qkt, err := qkt(c, tokens, 128, g, reuse)
 		if err != nil {
 			return false
 		}
-		sv, err := c.SV(tokens, 128, g, reuse)
+		sv, err := sv(c, tokens, 128, g, reuse)
 		if err != nil {
 			return false
 		}
@@ -238,9 +255,9 @@ func TestDCSBeatsStaticOnAttention(t *testing.T) {
 		name string
 		f    func() (*pim.Stack, error)
 	}{
-		{"qkt", func() (*pim.Stack, error) { return c.QKT(2048, 128, 4, true) }},
-		{"sv", func() (*pim.Stack, error) { return c.SV(2048, 128, 4, true) }},
-		{"gemv", func() (*pim.Stack, error) { return c.GEMV(4096, 4096) }},
+		{"qkt", func() (*pim.Stack, error) { return qkt(c, 2048, 128, 4, true) }},
+		{"sv", func() (*pim.Stack, error) { return sv(c, 2048, 128, 4, true) }},
+		{"gemv", func() (*pim.Stack, error) { return gemv(c, 4096, 4096) }},
 	} {
 		s1, err := build.f()
 		if err != nil {
@@ -268,10 +285,10 @@ func TestDCSBeatsStaticOnAttention(t *testing.T) {
 func TestStacksValidate(t *testing.T) {
 	c := cfg(t, true)
 	builders := map[string]func() (*pim.Stack, error){
-		"gemv-small": func() (*pim.Stack, error) { return c.GEMV(48, 32) },
-		"gemv-odd":   func() (*pim.Stack, error) { return c.GEMV(100, 100) },
-		"qkt-odd":    func() (*pim.Stack, error) { return c.QKT(1000, 100, 3, true) },
-		"sv-odd":     func() (*pim.Stack, error) { return c.SV(1000, 100, 3, false) },
+		"gemv-small": func() (*pim.Stack, error) { return gemv(c, 48, 32) },
+		"gemv-odd":   func() (*pim.Stack, error) { return gemv(c, 100, 100) },
+		"qkt-odd":    func() (*pim.Stack, error) { return qkt(c, 1000, 100, 3, true) },
+		"sv-odd":     func() (*pim.Stack, error) { return sv(c, 1000, 100, 3, false) },
 	}
 	for name, b := range builders {
 		s, err := b()
@@ -294,5 +311,39 @@ func TestBaselineBufferGeometry(t *testing.T) {
 	o := OBufBuffers(d)
 	if o.OutEntries <= b.OutEntries {
 		t.Errorf("OBuf (%d) must be larger than OutReg (%d)", o.OutEntries, b.OutEntries)
+	}
+}
+
+// TestBuildersRefillReusedStack: a builder resets the stack it is given, so
+// a stack that held a larger program (and a different geometry) yields
+// exactly the commands a fresh stack does.
+func TestBuildersRefillReusedStack(t *testing.T) {
+	base, obuf := cfg(t, true), cfg(t, false)
+	builds := []struct {
+		name string
+		f    func(*pim.Stack) error
+	}{
+		{"gemv-small", func(s *pim.Stack) error { return base.GEMV(s, 48, 32) }},
+		{"qkt-gqa", func(s *pim.Stack) error { return obuf.QKT(s, 1000, 100, 3, true) }},
+		{"sv-reuse", func(s *pim.Stack) error { return base.SV(s, 1000, 100, 3, true) }},
+		{"sv-odd", func(s *pim.Stack) error { return obuf.SV(s, 1000, 100, 3, false) }},
+	}
+	reused := new(pim.Stack)
+	for _, b := range builds {
+		if err := obuf.QKT(reused, 16384, 128, 4, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.f(reused); err != nil {
+			t.Fatalf("%s into reused stack: %v", b.name, err)
+		}
+		fresh := new(pim.Stack)
+		if err := b.f(fresh); err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		if !reflect.DeepEqual(reused, fresh) {
+			t.Errorf("%s: reused stack (%d cmds, %d/%d entries) differs from fresh (%d cmds, %d/%d entries)",
+				b.name, reused.Len(), reused.GBufEntries, reused.OutEntries,
+				fresh.Len(), fresh.GBufEntries, fresh.OutEntries)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 // BenchmarkPriceCold measures an uncached kernel pricing (builds and
 // schedules the full command stack).
 func BenchmarkPriceCold(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := New(timing.AiM16())
 		if _, err := s.Price(Query{Kernel: QKT, Tokens: 16384, Dh: 128, Queries: 1, Sched: DCS}); err != nil {

@@ -266,6 +266,12 @@ func scale(l Latency, f float64) Latency {
 	}
 }
 
+// stackPool holds the command stacks cold simulations build into. Price
+// runs on parallel sweep workers, so each simulation takes its own stack
+// for the duration of the call; a warm stack already has the capacity of
+// the largest program it held and builds without growing.
+var stackPool = sync.Pool{New: func() any { return new(pim.Stack) }}
+
 func (s *Service) simulate(q Query) (Latency, error) {
 	var buf kernels.Buffers
 	if q.Baseline {
@@ -274,17 +280,16 @@ func (s *Service) simulate(q Query) (Latency, error) {
 		buf = kernels.OBufBuffers(s.dev)
 	}
 	kc := kernels.NewConfig(s.dev, buf)
-	var (
-		stack *pim.Stack
-		err   error
-	)
+	stack := stackPool.Get().(*pim.Stack)
+	defer stackPool.Put(stack)
+	var err error
 	switch q.Kernel {
 	case QKT:
-		stack, err = kc.QKT(q.Tokens, q.Dh, q.Queries, q.RowReuse)
+		err = kc.QKT(stack, q.Tokens, q.Dh, q.Queries, q.RowReuse)
 	case SV:
-		stack, err = kc.SV(q.Tokens, q.Dh, q.Queries, q.RowReuse)
+		err = kc.SV(stack, q.Tokens, q.Dh, q.Queries, q.RowReuse)
 	case GEMV:
-		stack, err = kc.GEMV(q.Tokens, q.Dh)
+		err = kc.GEMV(stack, q.Tokens, q.Dh)
 	default:
 		return Latency{}, fmt.Errorf("perfmodel: unknown kernel %d", q.Kernel)
 	}

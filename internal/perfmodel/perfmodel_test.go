@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -213,4 +214,96 @@ func TestCacheLookupsCounted(t *testing.T) {
 	if s.CacheMisses() != 1 {
 		t.Errorf("repeat pricing missed %d times, want 1", s.CacheMisses())
 	}
+}
+
+// pricingSet is a fixed mix of cold shapes: QK^T, SV and GEMV under both
+// buffer geometries and every controller, all in distinct cache keys.
+func pricingSet() []Query {
+	var qs []Query
+	for _, k := range []Kernel{QKT, SV, GEMV} {
+		for _, base := range []bool{true, false} {
+			for sc := Static; sc <= DCSNoIsMAC; sc++ {
+				for i, tokens := range []int{1024, 3000} {
+					qs = append(qs, Query{Kernel: k, Tokens: tokens, Dh: 128, Queries: 1 + 3*i,
+						RowReuse: i == 1, Baseline: base, Sched: sc})
+				}
+			}
+		}
+	}
+	return qs
+}
+
+// TestConcurrentPricingMatchesSerial: cold simulations on parallel
+// workers each take their own pooled scratch, so eight goroutines pricing
+// the same shapes against one fresh Service agree with a serial pricing,
+// and every distinct shape is simulated into the cache exactly once.
+func TestConcurrentPricingMatchesSerial(t *testing.T) {
+	qs := pricingSet()
+	serial := New(timing.AiM16())
+	want := make([]Latency, len(qs))
+	for i, q := range qs {
+		l, err := serial.Price(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = l
+	}
+
+	s := New(timing.AiM16())
+	const workers = 8
+	got := make([][]Latency, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		got[w] = make([]Latency, len(qs))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range qs {
+				i := (j + w*len(qs)/workers) % len(qs) // workers start apart and collide
+				l, err := s.Price(qs[i])
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got[w][i] = l
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		for i := range qs {
+			if got[w][i] != want[i] {
+				t.Errorf("worker %d, %+v: got %+v, serial %+v", w, qs[i], got[w][i], want[i])
+			}
+		}
+	}
+	if s.CacheMisses() != len(qs) {
+		t.Errorf("CacheMisses = %d, want %d distinct shapes", s.CacheMisses(), len(qs))
+	}
+}
+
+// TestColdPricingAllocations pins the allocation-free miss path: once the
+// pooled stack and scheduler scratch are warm, a cold 64K-token SV pricing
+// on a fresh Service allocates a fixed handful of objects (the Service and
+// its cache, the builder's key tables, the sched.Result), not a number that
+// grows with the stack's ~70K commands.
+func TestColdPricingAllocations(t *testing.T) {
+	q := Query{Kernel: SV, Tokens: 65536, Dh: 128, Queries: 1, Sched: DCS}
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, e := New(timing.AiM16()).Price(q); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs >= 100 {
+		t.Errorf("cold 64K-token SV pricing averaged %.0f allocations, want < 100", allocs)
+	}
+	t.Logf("cold 64K-token SV pricing: %.0f allocations", allocs)
 }

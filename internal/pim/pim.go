@@ -26,6 +26,9 @@ const (
 	ACT
 	// PRE precharges (closes) the open DRAM row.
 	PRE
+
+	// NumKinds is the number of command kinds; Counts is indexed by Kind.
+	NumKinds = int(PRE) + 1
 )
 
 // String implements fmt.Stringer for command kinds.
@@ -78,6 +81,14 @@ func NewStack(gbufEntries, outEntries int) *Stack {
 	return &Stack{GBufEntries: gbufEntries, OutEntries: outEntries}
 }
 
+// Reset empties the stack for a new buffer geometry, keeping the command
+// slice's capacity so a reused stack stops allocating once it has held
+// its largest program.
+func (s *Stack) Reset(gbufEntries, outEntries int) {
+	s.Cmds = s.Cmds[:0]
+	s.GBufEntries, s.OutEntries = gbufEntries, outEntries
+}
+
 // push appends a command, assigning the next dense ID, and returns it.
 func (s *Stack) push(c Command) Command {
 	c.ID = len(s.Cmds)
@@ -114,13 +125,14 @@ func (s *Stack) Pre(row int) Command {
 // Len is the number of commands in the stack.
 func (s *Stack) Len() int { return len(s.Cmds) }
 
-// Counts tallies commands by kind.
-func (s *Stack) Counts() map[Kind]int {
-	m := make(map[Kind]int, 5)
-	for _, c := range s.Cmds {
-		m[c.Kind]++
+// Counts tallies commands by kind. Validate rejects unknown kinds; Counts
+// must only be called on a stack that passed it.
+func (s *Stack) Counts() [NumKinds]int {
+	var n [NumKinds]int
+	for i := range s.Cmds {
+		n[s.Cmds[i].Kind]++
 	}
-	return m
+	return n
 }
 
 // Validate checks stack-level invariants: IDs are dense and in order, buffer

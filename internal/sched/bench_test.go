@@ -13,8 +13,8 @@ func benchStack(b *testing.B) *pim.Stack {
 	b.Helper()
 	d := timing.AiM16()
 	cfg := kernels.NewConfig(d, kernels.OBufBuffers(d))
-	s, err := cfg.QKT(65536, 128, 1, false)
-	if err != nil {
+	s := new(pim.Stack)
+	if err := cfg.QKT(s, 65536, 128, 1, false); err != nil {
 		b.Fatal(err)
 	}
 	return s
@@ -22,6 +22,7 @@ func benchStack(b *testing.B) *pim.Stack {
 
 func benchScheduler(b *testing.B, s Scheduler) {
 	stack := benchStack(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := s.Schedule(stack)

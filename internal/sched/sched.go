@@ -34,6 +34,8 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"pimphony/internal/pim"
 	"pimphony/internal/timing"
@@ -129,6 +131,13 @@ func (r *Result) MACUtilization() float64 {
 	return float64(r.Breakdown.MAC) / float64(r.Total)
 }
 
+// newResult allocates the Result of scheduling an n-command stack. It is
+// a scheduling's only allocation that grows with the stack: the two-queue
+// engine's working memory is pooled.
+func newResult(name string, n int) *Result {
+	return &Result{Scheduler: name, Issue: make([]timing.Cycles, n), Reasons: make([]Reason, n)}
+}
+
 // Scheduler schedules a command stack onto one PIM channel.
 type Scheduler interface {
 	Name() string
@@ -136,7 +145,7 @@ type Scheduler interface {
 }
 
 // execLatency is the completion latency of a command kind.
-func execLatency(d timing.Device, k pim.Kind) timing.Cycles {
+func execLatency(d *timing.Device, k pim.Kind) timing.Cycles {
 	switch k {
 	case pim.WRINP:
 		return d.TWRINP
@@ -181,7 +190,7 @@ func (s *Static) Name() string { return "static" }
 
 // staticGap returns the static controller's mandatory issue gap after prev
 // when cur follows it in program order.
-func staticGap(d timing.Device, prev, cur pim.Kind) timing.Cycles {
+func staticGap(d *timing.Device, prev, cur pim.Kind) timing.Cycles {
 	if prev == cur && (prev == pim.WRINP || prev == pim.RDOUT) {
 		return d.TCCDS // pipelined tile streaming
 	}
@@ -210,23 +219,23 @@ func (s *Static) Schedule(st *pim.Stack) (*Result, error) {
 	if err := st.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: invalid stack: %w", err)
 	}
-	n := len(st.Cmds)
-	res := &Result{Scheduler: s.Name(), Issue: make([]timing.Cycles, n), Reasons: make([]Reason, n)}
+	cmds := st.Cmds
+	res := newResult(s.Name(), len(cmds))
 	var t timing.Cycles
-	for i, c := range st.Cmds {
+	for i := range cmds {
 		if i > 0 {
-			prev := st.Cmds[i-1]
-			gap := staticGap(s.Dev, prev.Kind, c.Kind)
+			prev := cmds[i-1].Kind
+			gap := staticGap(&s.Dev, prev, cmds[i].Kind)
 			t += gap
 			if gap > s.Dev.TCCDS {
-				res.Reasons[i] = gapReason(prev.Kind)
+				res.Reasons[i] = gapReason(prev)
 			} else {
 				res.Reasons[i] = ReasonBus
 			}
 		}
 		res.Issue[i] = t
 	}
-	finalize(s.Dev, st, res)
+	finalize(&s.Dev, st, res)
 	return res, nil
 }
 
@@ -243,49 +252,82 @@ type dep struct {
 	why    Reason // attribution if this edge is binding
 }
 
-// queued pairs a command with its dependency edges.
-type queued struct {
-	cmd  pim.Command
-	deps []dep
+// edges is a dependency table in compressed sparse row form, filled in
+// program order by a dependency pass: open starts the next command's
+// list, add appends to it, and the edges of command i are
+// list[off[i]:off[i+1]].
+type edges struct {
+	off  []int
+	list []dep
 }
+
+// open starts the edge list of the next command in program order.
+func (e *edges) open() { e.off = append(e.off, len(e.list)) }
+
+// add appends an edge to the command opened last.
+func (e *edges) add(dp dep) { e.list = append(e.list, dp) }
+
+// engineScratch is the two-queue engine's working memory. It is taken
+// from enginePool per scheduling and returned afterwards, so concurrent
+// schedulings never share it and a warm one does not grow it.
+type engineScratch struct {
+	deps    edges
+	ioQ, cQ []int // command IDs per queue, in program order
+	issued  []bool
+}
+
+var enginePool = sync.Pool{New: func() any { return new(engineScratch) }}
 
 // isIO reports whether a command issues on the I/O transfer queue.
 func isIO(k pim.Kind) bool { return k == pim.WRINP || k == pim.RDOUT }
 
 // runQueues executes the dual-queue out-of-order engine: in-order within the
 // I/O and compute queues, out-of-order across them, waiting only on the
-// provided dependency edges. Ties are broken in favour of the I/O queue so
-// input prefetches are not starved by long MAC chains.
-func runQueues(d timing.Device, st *pim.Stack, name string, depsOf func() [][]dep) (*Result, error) {
+// dependency edges depsOf records (one open per command, in program
+// order). Ties are broken in favour of the I/O queue so input prefetches
+// are not starved by long MAC chains.
+func runQueues(d *timing.Device, st *pim.Stack, name string, depsOf func(e *edges)) (*Result, error) {
 	if err := st.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: invalid stack: %w", err)
 	}
-	n := len(st.Cmds)
-	allDeps := depsOf()
-	if len(allDeps) != n {
-		return nil, fmt.Errorf("sched: dependency pass returned %d entries for %d commands", len(allDeps), n)
+	sc := enginePool.Get().(*engineScratch)
+	defer enginePool.Put(sc)
+	cmds := st.Cmds
+	n := len(cmds)
+	// Per-command slices are sized up front, so even a cold scratch
+	// allocates each of them once rather than once per doubling.
+	sc.deps.off, sc.deps.list = slices.Grow(sc.deps.off[:0], n+1), sc.deps.list[:0]
+	depsOf(&sc.deps)
+	if len(sc.deps.off) != n {
+		return nil, fmt.Errorf("sched: dependency pass returned %d entries for %d commands", len(sc.deps.off), n)
 	}
-	var ioQ, cQ []queued
-	for i, c := range st.Cmds {
-		q := queued{cmd: c, deps: allDeps[i]}
-		if isIO(c.Kind) {
-			ioQ = append(ioQ, q)
+	sc.deps.open() // off[n] closes the last command's list
+	off, list := sc.deps.off, sc.deps.list
+
+	ioQ, cQ := slices.Grow(sc.ioQ[:0], n), slices.Grow(sc.cQ[:0], n)
+	for i := range cmds {
+		if isIO(cmds[i].Kind) {
+			ioQ = append(ioQ, i)
 		} else {
-			cQ = append(cQ, q)
+			cQ = append(cQ, i)
 		}
 	}
-	res := &Result{Scheduler: name, Issue: make([]timing.Cycles, n), Reasons: make([]Reason, n)}
-	issued := make([]bool, n)
+	sc.ioQ, sc.cQ = ioQ, cQ
+	issued := slices.Grow(sc.issued[:0], n)[:n]
+	clear(issued)
+	sc.issued = issued
+
+	res := newResult(name, n)
 	var ioFree, macFree timing.Cycles
 	ioHead, cHead := 0, 0
 
-	earliest := func(q queued, resFree timing.Cycles) (timing.Cycles, Reason) {
+	earliest := func(id int, resFree timing.Cycles) (timing.Cycles, Reason) {
 		t := resFree
 		why := ReasonNone
 		if resFree > 0 {
 			why = ReasonBus
 		}
-		for _, dp := range q.deps {
+		for _, dp := range list[off[id]:off[id+1]] {
 			if !issued[dp.id] {
 				return inf, ReasonInOrder
 			}
@@ -293,7 +335,7 @@ func runQueues(d timing.Device, st *pim.Stack, name string, depsOf func() [][]de
 			if dp.pipe {
 				bound += d.TCCDS
 			} else {
-				bound += execLatency(d, st.Cmds[dp.id].Kind)
+				bound += execLatency(d, cmds[dp.id].Kind)
 				if dp.commit {
 					bound += d.TOBufCommit
 				}
@@ -318,17 +360,17 @@ func runQueues(d timing.Device, st *pim.Stack, name string, depsOf func() [][]de
 			return nil, fmt.Errorf("sched: %s deadlocked with io head %d / compute head %d", name, ioHead, cHead)
 		}
 		if tIO <= tC {
-			q := ioQ[ioHead]
-			res.Issue[q.cmd.ID] = tIO
-			res.Reasons[q.cmd.ID] = whyIO
-			issued[q.cmd.ID] = true
+			id := ioQ[ioHead]
+			res.Issue[id] = tIO
+			res.Reasons[id] = whyIO
+			issued[id] = true
 			ioFree = tIO + d.TCCDS
 			ioHead++
 		} else {
-			q := cQ[cHead]
-			res.Issue[q.cmd.ID] = tC
-			res.Reasons[q.cmd.ID] = whyC
-			issued[q.cmd.ID] = true
+			id := cQ[cHead]
+			res.Issue[id] = tC
+			res.Reasons[id] = whyC
+			issued[id] = true
 			macFree = tC + d.TCCDS
 			cHead++
 		}
@@ -361,65 +403,63 @@ func (s *DCS) Name() string {
 
 // Schedule implements Scheduler.
 func (s *DCS) Schedule(st *pim.Stack) (*Result, error) {
-	return runQueues(s.Dev, st, s.Name(), func() [][]dep {
+	return runQueues(&s.Dev, st, s.Name(), func(deps *edges) {
 		// D-Table: last writer / reader per GBuf entry, last MAC / drain per
 		// output entry, plus row-state tracking.
-		n := len(st.Cmds)
-		deps := make([][]dep, n)
 		lastGW := negOnes(st.GBufEntries) // GBuf entry -> last WR-INP
 		lastGR := negOnes(st.GBufEntries) // GBuf entry -> last MAC reader
 		lastOW := negOnes(st.OutEntries)  // out entry -> last MAC accumulate
 		lastOR := negOnes(st.OutEntries)  // out entry -> last RD-OUT
 		lastAct, lastPre, lastRowMAC := -1, -1, -1
-		add := func(i int, dp dep) { deps[i] = append(deps[i], dp) }
-		for i, c := range st.Cmds {
+		for i := range st.Cmds {
+			c := &st.Cmds[i]
+			deps.open()
 			switch c.Kind {
 			case pim.WRINP:
 				if id := lastGW[c.GBuf]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepWR}) // WAW
+					deps.add(dep{id: id, why: ReasonDepWR}) // WAW
 				}
 				if id := lastGR[c.GBuf]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepMAC}) // WAR: reader must finish
+					deps.add(dep{id: id, why: ReasonDepMAC}) // WAR: reader must finish
 				}
 				lastGW[c.GBuf] = i
 			case pim.MAC:
 				if id := lastGW[c.GBuf]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepWR}) // RAW on input tile
+					deps.add(dep{id: id, why: ReasonDepWR}) // RAW on input tile
 				}
 				if id := lastOR[c.Out]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepRD}) // WAR: drain before reuse
+					deps.add(dep{id: id, why: ReasonDepRD}) // WAR: drain before reuse
 				}
 				if id := lastOW[c.Out]; id >= 0 {
 					if s.DisableIsMAC {
-						add(i, dep{id: id, why: ReasonDepMAC})
+						deps.add(dep{id: id, why: ReasonDepMAC})
 					} else {
-						add(i, dep{id: id, pipe: true, why: ReasonDepMAC}) // is-MAC chain
+						deps.add(dep{id: id, pipe: true, why: ReasonDepMAC}) // is-MAC chain
 					}
 				}
 				if lastAct >= 0 {
-					add(i, dep{id: lastAct, why: ReasonRow})
+					deps.add(dep{id: lastAct, why: ReasonRow})
 				}
 				lastGR[c.GBuf] = i
 				lastOW[c.Out] = i
 				lastRowMAC = i
 			case pim.RDOUT:
 				if id := lastOW[c.Out]; id >= 0 {
-					add(i, dep{id: id, commit: true, why: ReasonDepMAC})
+					deps.add(dep{id: id, commit: true, why: ReasonDepMAC})
 				}
 				lastOR[c.Out] = i
 			case pim.ACT:
 				if lastPre >= 0 {
-					add(i, dep{id: lastPre, why: ReasonRow})
+					deps.add(dep{id: lastPre, why: ReasonRow})
 				}
 				lastAct = i
 			case pim.PRE:
 				if lastRowMAC >= 0 {
-					add(i, dep{id: lastRowMAC, why: ReasonDepMAC})
+					deps.add(dep{id: lastRowMAC, why: ReasonDepMAC})
 				}
 				lastPre = i
 			}
 		}
-		return deps
 	})
 }
 
@@ -450,9 +490,7 @@ func (s *PingPong) Schedule(st *pim.Stack) (*Result, error) {
 	}
 	gRegion := func(e int) int { return e / gHalf }
 	oRegion := func(e int) int { return e / oHalf }
-	return runQueues(s.Dev, st, s.Name(), func() [][]dep {
-		n := len(st.Cmds)
-		deps := make([][]dep, n)
+	return runQueues(&s.Dev, st, s.Name(), func(deps *edges) {
 		gRegions := st.GBufEntries/gHalf + 1
 		oRegions := st.OutEntries/oHalf + 1
 		lastGW := negOnes(gRegions) // gbuf region -> last WR-INP
@@ -460,26 +498,27 @@ func (s *PingPong) Schedule(st *pim.Stack) (*Result, error) {
 		lastOW := negOnes(oRegions) // out region -> last MAC
 		lastOR := negOnes(oRegions) // out region -> last RD-OUT
 		lastAct, lastPre, lastRowMAC := -1, -1, -1
-		add := func(i int, dp dep) { deps[i] = append(deps[i], dp) }
-		for i, c := range st.Cmds {
+		for i := range st.Cmds {
+			c := &st.Cmds[i]
+			deps.open()
 			switch c.Kind {
 			case pim.WRINP:
 				r := gRegion(c.GBuf)
 				if id := lastGR[r]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepMAC}) // region hand-off
+					deps.add(dep{id: id, why: ReasonDepMAC}) // region hand-off
 				}
 				lastGW[r] = i
 			case pim.MAC:
 				r := gRegion(c.GBuf)
 				if id := lastGW[r]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepWR}) // whole region filled
+					deps.add(dep{id: id, why: ReasonDepWR}) // whole region filled
 				}
 				or := oRegion(c.Out)
 				if id := lastOR[or]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepRD})
+					deps.add(dep{id: id, why: ReasonDepRD})
 				}
 				if lastAct >= 0 {
-					add(i, dep{id: lastAct, why: ReasonRow})
+					deps.add(dep{id: lastAct, why: ReasonRow})
 				}
 				lastGR[r] = i
 				lastOW[or] = i
@@ -487,22 +526,21 @@ func (s *PingPong) Schedule(st *pim.Stack) (*Result, error) {
 			case pim.RDOUT:
 				or := oRegion(c.Out)
 				if id := lastOW[or]; id >= 0 {
-					add(i, dep{id: id, commit: true, why: ReasonDepMAC})
+					deps.add(dep{id: id, commit: true, why: ReasonDepMAC})
 				}
 				lastOR[or] = i
 			case pim.ACT:
 				if lastPre >= 0 {
-					add(i, dep{id: lastPre, why: ReasonRow})
+					deps.add(dep{id: lastPre, why: ReasonRow})
 				}
 				lastAct = i
 			case pim.PRE:
 				if lastRowMAC >= 0 {
-					add(i, dep{id: lastRowMAC, why: ReasonDepMAC})
+					deps.add(dep{id: lastRowMAC, why: ReasonDepMAC})
 				}
 				lastPre = i
 			}
 		}
-		return deps
 	})
 }
 
@@ -516,16 +554,18 @@ func (s *PingPong) Schedule(st *pim.Stack) (*Result, error) {
 // MAC issues are attributed to the binding constraint of the waiting MAC;
 // the lead-in before the first MAC and the drain after the last are
 // attributed to their binding causes. A refresh stretch is applied last.
-func finalize(d timing.Device, st *pim.Stack, res *Result) {
+func finalize(d *timing.Device, st *pim.Stack, res *Result) {
+	cmds := st.Cmds
 	var end timing.Cycles
-	for i, c := range st.Cmds {
-		done := res.Issue[i] + execLatency(d, c.Kind)
+	for i := range cmds {
+		k := cmds[i].Kind
+		done := res.Issue[i] + execLatency(d, k)
 		if done > end {
 			end = done
 		}
-		if c.Kind == pim.MAC {
+		if k == pim.MAC {
 			res.NumMAC++
-		} else if isIO(c.Kind) {
+		} else if isIO(k) {
 			res.NumIO++
 		}
 	}
@@ -550,8 +590,8 @@ func finalize(d timing.Device, st *pim.Stack, res *Result) {
 		prev := timing.Cycles(-1)
 		var lastMAC timing.Cycles
 		first := true
-		for i, c := range st.Cmds {
-			if c.Kind != pim.MAC {
+		for i := range cmds {
+			if cmds[i].Kind != pim.MAC {
 				continue
 			}
 			t := res.Issue[i]
