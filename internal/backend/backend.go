@@ -6,9 +6,12 @@
 // communication — and declaring its KV-capacity geometry and admission
 // semantics. The step loop in internal/cluster (both the batch simulator
 // and the serving engine) is backend-agnostic: it admits against the
-// backend's Admission parameters, prices every iteration through
-// Backend.Step, and accrues energy through Backend.IterEnergy. Adding a
-// new system organisation is one Register call; no step-loop fork.
+// backend's Admission parameters, prices every iteration through the
+// backend's Stepper (Incremental; the PIM-attention backends) or its
+// stateless Step (the GPU), and accrues energy through
+// Backend.IterEnergy. Each backend has one pricing implementation: a
+// PIM backend's Step is a one-shot stepper. Adding a new system
+// organisation is one Register call; no step-loop fork.
 package backend
 
 import (

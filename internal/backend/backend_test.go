@@ -262,8 +262,8 @@ func TestPPPipelineComposition(t *testing.T) {
 	if diff := cost.Seconds - want; diff > 1e-15 || diff < -1e-15 {
 		t.Errorf("PP iteration %g, want stage+7 bubbles = %g", cost.Seconds, want)
 	}
-	// The >= 4-request path fans out through the sweep engine and must
-	// agree with the sequential composition too.
+	// A multi-request batch folds its per-request stages in request
+	// order: the sum plus (PP-1) bubbles of the longest stage.
 	four := smallBatch(5)
 	costPar, err := b.Step(context.Background(), ppEnv, four, ctxOf)
 	if err != nil {
@@ -403,11 +403,22 @@ func TestAllocatorFallbackSelection(t *testing.T) {
 	}
 }
 
-// TestStepperMatchesStep pins the incremental stepper's contract: for
-// every PIM-attention backend, technique mix and geometry, the memoized
-// pricer must return the exact StepCost the naive Backend.Step computes
-// — bit for bit — across growing token counts (bucket crossings
-// included) and changing batch compositions.
+// centGQA72Env is the CENT preset's LLM-72B-128K-GQA geometry: 32
+// modules split TP=8 x PP=4 with the row-reuse KV mapping — the one
+// pipelined system the experiments price.
+func centGQA72Env(tech Technique) *Env {
+	env := pimEnv(model.LLM72B128KGQA(), tech)
+	env.Modules, env.TP, env.PP = 32, 8, 4
+	return env
+}
+
+// TestStepperMatchesStep pins the stepper's contract: for every
+// PIM-attention backend, technique mix and geometry, the memoized
+// pricer must return the exact StepCost the naive mapping.Assign oracle
+// (oracle_test.go) computes — bit for bit — across growing token counts
+// (bucket crossings included), changing batch compositions and
+// single-request batches, through both the TokensOf and the
+// batch-order slice entry points.
 func TestStepperMatchesStep(t *testing.T) {
 	m := model.LLM7B32K()
 	gqa := model.LLM7B128KGQA()
@@ -415,7 +426,7 @@ func TestStepperMatchesStep(t *testing.T) {
 	shardEnv.TP = 2 * gqa.KVHeads() // token-axis sharding past the head count
 	shardEnv.Modules = shardEnv.TP
 	ppEnv := pimEnv(m, PIMphony())
-	ppEnv.TP, ppEnv.PP = 4, 2 // pipeline fallback path
+	ppEnv.TP, ppEnv.PP = 4, 2 // request-granular pipeline fold
 	cases := []struct {
 		name string
 		be   Backend
@@ -429,6 +440,8 @@ func TestStepperMatchesStep(t *testing.T) {
 		{"pim-gqa-hfp", pimOnly{}, pimEnv(gqa, Baseline())},
 		{"pim-token-sharded", pimOnly{}, shardEnv},
 		{"pim-pipelined", pimOnly{}, ppEnv},
+		{"cent-72b-gqa-hfp", pimOnly{}, centGQA72Env(Baseline())},
+		{"cent-72b-gqa-tcp", pimOnly{}, centGQA72Env(PIMphony())},
 		{"xpu-pimphony", xpuPIM{}, pimEnv(m, PIMphony())},
 		{"xpu-baseline", xpuPIM{}, pimEnv(m, Baseline())},
 		{"dimm-pimphony", dimmPIM{}, dimmEnv(m, PIMphony())},
@@ -439,6 +452,28 @@ func TestStepperMatchesStep(t *testing.T) {
 				t.Fatalf("config invalid: %v", err)
 			}
 			st := c.be.(Incremental).NewStepper(c.env)
+			ctx := context.Background()
+			check := func(step int, batch []workload.Request, tokensOf TokensOf) {
+				t.Helper()
+				want, err := naiveStep(ctx, c.be, c.env, batch, tokensOf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := st.Step(ctx, batch, tokensOf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("step %d (batch %d) diverged:\nstepper %+v\nnaive   %+v", step, len(batch), got, want)
+				}
+				toks := make([]int, len(batch))
+				for i, r := range batch {
+					toks[i] = tokensOf(r)
+				}
+				if got, err := st.(SliceStepper).StepSlice(ctx, batch, toks); err != nil || got != want {
+					t.Fatalf("step %d (batch %d) StepSlice diverged (%v):\nstepper %+v\nnaive   %+v", step, len(batch), err, got, want)
+				}
+			}
 			batch := smallBatch(5)
 			// A tiny context exercises the sub-channel (zero-token slice)
 			// edge; a huge one the quantization cap.
@@ -453,19 +488,41 @@ func TestStepperMatchesStep(t *testing.T) {
 				}
 				grown := step
 				tokensOf := func(r workload.Request) int { return r.Context + grown }
-				want, err := c.be.Step(context.Background(), c.env, batch, tokensOf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := st.Step(context.Background(), batch, tokensOf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("step %d diverged:\nstepper %+v\nnaive   %+v", step, got, want)
+				check(step, batch, tokensOf)
+				if step%8 == 0 {
+					for i := range batch {
+						check(step, batch[i:i+1], tokensOf)
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestPipelinedStepperMemoizes: a PP>1 stepper prices its per-request
+// micro-batches through the same shape memo as PP=1, so repeating an
+// iteration over the same token counts must not consult the perfmodel
+// service at all.
+func TestPipelinedStepperMemoizes(t *testing.T) {
+	for _, tech := range []Technique{Baseline(), PIMphony()} {
+		env := centGQA72Env(tech)
+		st := pimOnly{}.NewStepper(env)
+		batch := smallBatch(6)
+		first, err := st.Step(context.Background(), batch, ctxOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := env.Perf.CacheLookups()
+		again, err := st.Step(context.Background(), batch, ctxOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := env.Perf.CacheLookups() - before; n != 0 {
+			t.Errorf("%+v: repeated PP=%d step made %d perfmodel lookups, want 0", tech, env.PP, n)
+		}
+		if again != first {
+			t.Errorf("%+v: repeated step priced %+v, first %+v", tech, again, first)
+		}
 	}
 }
 

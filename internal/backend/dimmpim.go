@@ -50,7 +50,7 @@ func hostFC(env *Env, batch int) float64 {
 }
 
 func (d dimmPIM) Step(ctx context.Context, env *Env, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
-	return d.step(ctx, env, batch, tokensOf, hostFC, overlapped)
+	return d.NewStepper(env).Step(ctx, batch, tokensOf)
 }
 
 // IterEnergy prices the DIMM attention on the shared PIM module model;

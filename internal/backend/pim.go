@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"pimphony/internal/energy"
-	"pimphony/internal/mapping"
 	"pimphony/internal/model"
 	"pimphony/internal/perfmodel"
-	"pimphony/internal/sweep"
 	"pimphony/internal/timing"
 	"pimphony/internal/workload"
 	"pimphony/internal/xpu"
@@ -27,11 +25,12 @@ type fcFunc func(env *Env, batch int) float64
 type combineFunc func(attnSec, fcSec, syncSec float64) float64
 
 // pimShared is the channel-level pricing machinery every PIM-attention
-// backend shares: TP/PP geometry, the mapping + perfmodel attention
-// path, EPU softmax/reduction costs, the TP all-reduce, the stage/PP
-// pipeline composition, head-first admission bounds and the attention
-// energy model. Concrete backends embed it and differ in how FC is
-// priced and how the phases combine into a layer.
+// backend shares: TP/PP geometry, the perfmodel attention tile prices,
+// the TP all-reduce, the per-stage composition, head-first admission
+// bounds and the attention energy model. The memoizing stepper
+// (stepper.go) is the one pricer built on it. Concrete backends embed
+// it and differ in how FC is priced and how the phases combine into a
+// layer.
 type pimShared struct{}
 
 // validatePIM checks the shared PIM configuration constraints.
@@ -112,73 +111,6 @@ func (pimShared) headCapacityTokens(env *Env) int {
 	return int(env.Dev.ChannelBytes() / perHead)
 }
 
-// strategy maps the TCP toggle to the partitioning strategy.
-func (p pimShared) strategy(env *Env) mapping.Strategy {
-	if env.Tech.TCP {
-		return mapping.TCP{}
-	}
-	return mapping.HFP{CapacityTokens: p.headCapacityTokens(env)}
-}
-
-// attentionLayer evaluates one layer's attention time on one module group
-// for the given micro-batch of requests.
-func (p pimShared) attentionLayer(env *Env, reqs []workload.Request, tokensOf TokensOf) (Stats, error) {
-	m := env.Model
-	// TP shards KV heads first; beyond the head count it shards the token
-	// axis across module groups (how TP-centric systems like NeuPIMs keep
-	// scaling past the head count).
-	kvHeadsPerModule, tokenShard := p.headGeometry(env)
-	mreqs := make([]mapping.Request, len(reqs))
-	for i, r := range reqs {
-		t := (tokensOf(r) + tokenShard - 1) / tokenShard
-		mreqs[i] = mapping.Request{ID: r.ID, Tokens: t}
-	}
-	assign, err := p.strategy(env).Assign(mreqs, kvHeadsPerModule, m.GQAGroup, env.Dev.Channels)
-	if err != nil {
-		return Stats{}, err
-	}
-	sc, baseline := p.schedKind(env)
-	var st Stats
-	st.Channels = env.Dev.Channels
-	var maxCh timing.Cycles
-	for _, works := range assign.Channels {
-		var chCycles timing.Cycles
-		for _, w := range works {
-			lat, err := p.priceAttention(env, w.Tokens, m.HeadDim, w.Queries, baseline, sc)
-			if err != nil {
-				return Stats{}, err
-			}
-			chCycles += lat.Cycles
-			st.Busy += lat.Breakdown.MAC
-			st.MACs += lat.MACs
-			st.IOBytes += lat.IOBytes
-			st.ActPre += lat.ActPre
-		}
-		if chCycles > maxCh {
-			maxCh = chCycles
-		}
-	}
-	st.Cycles = maxCh
-	// EPU softmax: one per (request, query head) on this module, spread
-	// over the EPU lanes; under TCP the segments are concatenated first
-	// (no extra cost beyond the softmax itself).
-	var softmax timing.Cycles
-	qHeadsPerModule := kvHeadsPerModule * m.GQAGroup
-	for _, r := range reqs {
-		softmax += env.Hub.SoftmaxCycles((tokensOf(r)+tokenShard-1)/tokenShard) * timing.Cycles(qHeadsPerModule)
-	}
-	st.Cycles += softmax / epuLanes
-	// TCP pays one SV reduction per (request, KV head); the HUB performs
-	// reductions for completed heads while the channels compute the next
-	// head, so only the lane-parallel EPU residue is exposed (the paper
-	// measures < 0.2% of attention latency).
-	if env.Tech.TCP {
-		red := env.Hub.ReduceCycles(env.Dev.Channels, m.HeadDim)
-		st.Cycles += red * timing.Cycles(len(reqs)*kvHeadsPerModule) / epuLanes
-	}
-	return st, nil
-}
-
 // priceAttention prices one channel's attention tile. The KV mapping
 // (row-reuse vs query-resident) is a compile-time choice, so every
 // configuration gets the cheaper of the two under its own scheduler —
@@ -222,9 +154,7 @@ func (pimShared) syncCycles(env *Env, batch int) timing.Cycles {
 }
 
 // composeStage folds one layer's attention stats with the FC and TP
-// all-reduce costs into the per-stage time. The naive step path and the
-// memoizing stepper (stepper.go) share it, so the two produce
-// bit-identical stage times from the same per-layer inputs.
+// all-reduce costs into the per-stage time.
 func composeStage(env *Env, at Stats, fcSec, syncSec float64, combine combineFunc) (float64, Stats, float64) {
 	layers := env.Model.Layers / env.PP
 	attnSec := float64(at.Cycles) / cyclesPerSecond
@@ -238,86 +168,6 @@ func composeStage(env *Env, at Stats, fcSec, syncSec float64, combine combineFun
 	at.IOBytes *= int64(layers)
 	at.ActPre *= int64(layers)
 	return stage, at, attnShare
-}
-
-// stageTime returns the per-stage time in seconds for a micro-batch, plus
-// the attention stats for utilization/energy accounting.
-func (p pimShared) stageTime(env *Env, reqs []workload.Request, tokensOf TokensOf, fc fcFunc, combine combineFunc) (float64, Stats, float64, error) {
-	at, err := p.attentionLayer(env, reqs, tokensOf)
-	if err != nil {
-		return 0, Stats{}, 0, err
-	}
-	fcSec := fc(env, len(reqs))
-	syncSec := float64(p.syncCycles(env, len(reqs))) / cyclesPerSecond
-	stage, at, attnShare := composeStage(env, at, fcSec, syncSec, combine)
-	return stage, at, attnShare, nil
-}
-
-// step evaluates one decode iteration for a batch: the iteration time in
-// seconds, the attention stats merged across the per-request stage
-// evaluations (cycles and busy sum over PP micro-batches), and the
-// attention share of iteration time. Both the batch simulator (RunCtx)
-// and the serving engine (Engine.Step) price their iterations here.
-func (p pimShared) step(ctx context.Context, env *Env, batch []workload.Request, tokensOf TokensOf, fc fcFunc, combine combineFunc) (StepCost, error) {
-	if env.PP == 1 {
-		sec, stats, share, err := p.stageTime(env, batch, tokensOf, fc, combine)
-		return StepCost{Seconds: sec, AttnShare: share, Stats: stats}, err
-	}
-	// Request-granular micro-batches through PP stages: sum of
-	// per-request stage times + (PP-1) bubbles of the max. The
-	// per-request evaluations are independent (the perfmodel cache
-	// is internally locked), so they fan out through the sweep
-	// engine; the ordered reduction below accumulates floats in
-	// request order, keeping the result identical to the
-	// sequential loop.
-	type stageOut struct {
-		sec   float64
-		stats Stats
-		share float64
-	}
-	evalOne := func(r workload.Request) (stageOut, error) {
-		st, stats1, share1, err := p.stageTime(env, []workload.Request{r}, tokensOf, fc, combine)
-		return stageOut{st, stats1, share1}, err
-	}
-	var outs []stageOut
-	var err error
-	// Tiny batches are mostly memoized perfmodel hits; spinning a
-	// worker pool per decode step costs more than it saves there
-	// (and this loop already nests under the experiment grid and
-	// stage-ladder sweeps).
-	if len(batch) < 4 {
-		outs = make([]stageOut, len(batch))
-		for i, r := range batch {
-			if outs[i], err = evalOne(r); err != nil {
-				return StepCost{}, err
-			}
-		}
-	} else {
-		if outs, err = sweep.Run(ctx, batch, func(_ context.Context, r workload.Request) (stageOut, error) {
-			return evalOne(r)
-		}); err != nil {
-			return StepCost{}, err
-		}
-	}
-	var stats Stats
-	var share float64
-	var sum, max float64
-	for _, o := range outs {
-		sum += o.sec
-		if o.sec > max {
-			max = o.sec
-		}
-		stats.Busy += o.stats.Busy
-		stats.Cycles += o.stats.Cycles
-		stats.Channels = o.stats.Channels
-		share += o.share
-		stats.MACs += o.stats.MACs
-		stats.IOBytes += o.stats.IOBytes
-		stats.ActPre += o.stats.ActPre
-	}
-	share /= float64(len(batch))
-	iterSec := sum + float64(env.PP-1)*max
-	return StepCost{Seconds: iterSec, AttnShare: share, Stats: stats}, nil
 }
 
 // iterEnergy prices one iteration's energy on the shared PIM model: the
@@ -434,7 +284,7 @@ func pnmFC(env *Env, batch int) float64 {
 }
 
 func (p pimOnly) Step(ctx context.Context, env *Env, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
-	return p.step(ctx, env, batch, tokensOf, pnmFC, additive)
+	return p.NewStepper(env).Step(ctx, batch, tokensOf)
 }
 
 // pimModuleDollarsPerHour amortises one GDDR6-AiM-class PIM module

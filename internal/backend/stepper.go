@@ -8,13 +8,15 @@ import (
 	"pimphony/internal/workload"
 )
 
-// Incremental is an optional Backend refinement: backends whose Step
-// cost is dominated by re-deriving the per-channel work assignment and
-// re-pricing kernel shapes implement it to expose a stateful stepper
-// that memoizes those derivations across decode iterations. A stepper's
-// Step must be observationally identical to the backend's own Step —
-// the same StepCost bit for bit — differing only in wall-clock cost;
-// the cluster step loops route every iteration through it when present.
+// Incremental is an optional Backend refinement: backends whose
+// iteration price is dominated by re-deriving the per-channel work
+// assignment and re-pricing kernel shapes implement it to expose a
+// stateful stepper that memoizes those derivations across decode
+// iterations. The cluster step loops route every iteration through the
+// stepper when present. For the PIM-attention backends the stepper is
+// the only pricer: their Step builds a one-shot stepper and delegates,
+// and the naive mapping.Assign path survives only as the test oracle
+// (TestStepperMatchesStep) the stepper is pinned against bit for bit.
 type Incremental interface {
 	NewStepper(env *Env) Stepper
 }
@@ -35,20 +37,19 @@ type SliceStepper interface {
 	StepSlice(ctx context.Context, batch []workload.Request, toks []int) (StepCost, error)
 }
 
-// pimStepper is the incremental pricer shared by the PIM-attention
-// backends. attentionLayer re-derives the same structures on every
-// iteration: the mapping.Assign work lists — whose per-channel shape
-// follows in closed form from the partitioning strategy — and the
-// per-work perfmodel latencies, which collapse to at most two distinct
-// shapes per request under TCP (token slices of base and base+1 tokens)
-// and to the capacity tile plus one remainder under HFP. The stepper
-// computes the per-channel cycle sums directly from those closed forms
-// and memoizes each priced shape, so a decode iteration touches the
+// pimStepper is the pricer shared by the PIM-attention backends. A
+// naive pricer would re-derive the same structures on every iteration:
+// the mapping.Assign work lists — whose per-channel shape follows in
+// closed form from the partitioning strategy — and the per-work
+// perfmodel latencies, which collapse to at most two distinct shapes
+// per request under TCP (token slices of base and base+1 tokens) and to
+// the capacity tile plus one remainder under HFP. The stepper computes
+// the per-channel cycle sums directly from those closed forms and
+// memoizes each priced shape, so a decode iteration touches the
 // perfmodel cache only when a token count the stepper has not seen yet
-// appears. Everything ahead of the final stage fold is integer
-// arithmetic over the exact same priced values the naive path sums, and
-// the fold itself is the shared composeStage, which keeps the stepper's
-// StepCost bit-identical to Backend.Step.
+// appears. Everything ahead of the final stage fold (composeStage) is
+// integer arithmetic over the exact priced values the naive assignment
+// walk would sum, which keeps the StepCost bit-identical to it.
 type pimStepper struct {
 	env     *Env
 	shared  pimShared
@@ -115,13 +116,7 @@ func (s *pimStepper) softmax(scores int) timing.Cycles {
 }
 
 // Step implements Stepper.
-func (s *pimStepper) Step(ctx context.Context, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
-	if s.env.PP != 1 {
-		// Pipeline systems evaluate per-request stage times on the sweep
-		// worker pool; the memoized fast path is single-threaded, so they
-		// keep the naive (already parallel) pricing.
-		return s.shared.step(ctx, s.env, batch, tokensOf, s.fc, s.combine)
-	}
+func (s *pimStepper) Step(_ context.Context, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
 	toks := s.tokBuf[:0]
 	for _, r := range batch {
 		toks = append(toks, tokensOf(r))
@@ -131,19 +126,46 @@ func (s *pimStepper) Step(ctx context.Context, batch []workload.Request, tokensO
 }
 
 // StepSlice implements SliceStepper.
-func (s *pimStepper) StepSlice(ctx context.Context, batch []workload.Request, toks []int) (StepCost, error) {
-	if s.env.PP != 1 {
-		pos := make(map[int]int, len(batch))
-		for i, r := range batch {
-			pos[r.ID] = i
-		}
-		return s.shared.step(ctx, s.env, batch,
-			func(r workload.Request) int { return toks[pos[r.ID]] }, s.fc, s.combine)
-	}
+func (s *pimStepper) StepSlice(_ context.Context, _ []workload.Request, toks []int) (StepCost, error) {
 	return s.stepToks(toks)
 }
 
+// stepToks prices one decode iteration. With PP stages the batch runs
+// as request-granular micro-batches: the iteration is the sum of the
+// per-request stage times plus (PP-1) bubbles of the longest one, the
+// attention stats accumulate over the micro-batches and the attention
+// share is their mean. The fold runs in request order, so its float
+// sums are the same at any batch size.
 func (s *pimStepper) stepToks(toks []int) (StepCost, error) {
+	if s.env.PP == 1 {
+		return s.stage(toks)
+	}
+	var cost StepCost
+	var max float64
+	for i := range toks {
+		c, err := s.stage(toks[i : i+1])
+		if err != nil {
+			return StepCost{}, err
+		}
+		cost.Seconds += c.Seconds
+		if c.Seconds > max {
+			max = c.Seconds
+		}
+		cost.AttnShare += c.AttnShare
+		cost.Stats.Cycles += c.Stats.Cycles
+		cost.Stats.Busy += c.Stats.Busy
+		cost.Stats.MACs += c.Stats.MACs
+		cost.Stats.IOBytes += c.Stats.IOBytes
+		cost.Stats.ActPre += c.Stats.ActPre
+		cost.Stats.Channels = c.Stats.Channels
+	}
+	cost.AttnShare /= float64(len(toks))
+	cost.Seconds += float64(s.env.PP-1) * max
+	return cost, nil
+}
+
+// stage prices one pipeline stage for a micro-batch.
+func (s *pimStepper) stage(toks []int) (StepCost, error) {
 	at, err := s.attention(toks)
 	if err != nil {
 		return StepCost{}, err
@@ -199,7 +221,7 @@ func (s *pimStepper) price(tokens int) (int, error) {
 	return tokens, nil
 }
 
-// attention reproduces attentionLayer's per-layer Stats without
+// attention computes one layer's per-module attention Stats without
 // materializing the assignment; toks holds each batch member's current
 // KV length.
 func (s *pimStepper) attention(toks []int) (Stats, error) {
@@ -270,8 +292,15 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 			dd[ch] = 0
 		}
 		st.Cycles = maxCh
+		// EPU softmax: one per (request, query head) on this module,
+		// spread over the EPU lanes; the token segments are concatenated
+		// first, at no extra cost beyond the softmax itself.
 		qHeads := s.kvHeads * env.Model.GQAGroup
 		st.Cycles += softSum * timing.Cycles(qHeads) / epuLanes
+		// TCP pays one SV reduction per (request, KV head); the HUB
+		// reduces completed heads while the channels compute the next
+		// one, so only the lane-parallel EPU residue is exposed (the
+		// paper measures < 0.2% of attention latency).
 		if !s.redOK {
 			s.red = env.Hub.ReduceCycles(channels, env.Model.HeadDim)
 			s.redOK = true
@@ -326,6 +355,7 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 		}
 	}
 	st.Cycles = maxCh
+	// EPU softmax: one per (request, query head), over the EPU lanes.
 	var softmax timing.Cycles
 	qHeads := s.kvHeads * env.Model.GQAGroup
 	for _, tok := range toks {

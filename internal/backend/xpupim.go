@@ -41,7 +41,7 @@ func npuFC(env *Env, batch int) float64 {
 }
 
 func (x xpuPIM) Step(ctx context.Context, env *Env, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
-	return x.step(ctx, env, batch, tokensOf, npuFC, overlapped)
+	return x.NewStepper(env).Step(ctx, batch, tokensOf)
 }
 
 func (x xpuPIM) IterEnergy(env *Env, cost StepCost, batch int) (attn, fc energy.Breakdown) {

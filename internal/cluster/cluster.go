@@ -474,8 +474,8 @@ func (s *System) formBatch(reqs []workload.Request) (*admitter, error) {
 }
 
 // iterate prices one decode iteration, through the backend's memoizing
-// stepper when it has one (bit-identical to Backend.Step, amortized
-// cheap) and through the backend directly otherwise. Every simulated
+// stepper when it has one (the PIM-attention backends) and through the
+// stateless Backend.Step otherwise (the GPU). Every simulated
 // decode token is tallied for the SimulatedTokens rate metric.
 func (s *System) iterate(ctx context.Context, batch []workload.Request, tokensOf backend.TokensOf) (backend.StepCost, error) {
 	simTokens.Add(int64(len(batch)))

@@ -141,8 +141,8 @@ type StepResult struct {
 // admission policy and performance model. Every registered backend is
 // servable: the engine admits against the backend's allocator (DPA
 // chunks, static T_max regions, or the GPU's paged pool) and prices
-// iterations through Backend.Step, so the GPU baseline gets the same
-// admission, preemption and serving metrics as the PIM systems.
+// iterations through the system's iterate seam, so the GPU baseline gets
+// the same admission, preemption and serving metrics as the PIM systems.
 func (s *System) NewEngine() (*Engine, error) {
 	ad, err := s.newAdmitter(nil)
 	if err != nil {

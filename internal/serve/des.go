@@ -28,6 +28,14 @@
 //     which is exactly "the earliest pending event or the
 //     next-lagging replica's clock, whichever comes first".
 //
+// Idle clocks. No discipline sweeps idle replicas' clocks forward on
+// every event; each lifts an idle clock to the event time exactly where
+// the clock is observed. The barrier advance lifts every replica before
+// routing reads Load.Clock. Lazy dispatch advances, and so lifts, only
+// its destination; the other replicas' loads are never read. The fleet
+// lifts an idle clock at each point that reads it: enqueue, resume of a
+// migrated or stolen request, provision and fault recovery.
+//
 // Exactness. Every per-token timestamp is bit-identical across
 // disciplines and leap granularities because engine advancement
 // composes: cluster.Engine.Leap prices the same per-iteration sequence
@@ -230,15 +238,6 @@ func (s *spine) busyCount() int {
 	return n
 }
 
-// syncIdle jumps idle replicas' clocks forward to t (never backward).
-func (s *spine) syncIdle(t float64) {
-	for _, r := range s.replicas {
-		if r.eng.Idle() && r.clock < t {
-			r.clock = t
-		}
-	}
-}
-
 // advanceAll advances every replica up to time t. Replicas share no
 // state between events, so they advance concurrently through the sweep
 // engine; every load snapshot — and therefore every table — is
@@ -339,15 +338,6 @@ func (s *spine) run(ctx context.Context) error {
 		}
 		if e.at > s.clock {
 			s.clock = e.at
-		}
-		// Interleaved mode pulls idle clocks lazily at their use sites
-		// (enqueue, resume, provision, the []FleetLoad snapshot) instead
-		// of sweeping all n replicas on every event — the sweep is the
-		// one per-event cost that grows with fleet size. The classic
-		// disciplines keep the eager sync: their policies see Load.Clock
-		// for every replica on every pick.
-		if s.sync != syncInterleaved {
-			s.syncIdle(e.at)
 		}
 		if err := s.sched.dispatch(ctx, e); err != nil {
 			return err

@@ -246,12 +246,9 @@ type fleetSim struct {
 	cfg       Config
 	ic        timing.Interconnect
 	placement Placement
-	// indexed is the placement's O(log n) fast path (nil for custom
-	// policies, which fall back to the scratch-built []FleetLoad scan).
-	indexed  indexedPlacement
-	decoders []*fleetReplica
-	prefills []*prefillServer
-	held     deque[heldReq]
+	decoders  []*fleetReplica
+	prefills  []*prefillServer
+	held      deque[heldReq]
 	// views holds the incrementally maintained scheduler indexes and
 	// autoscale aggregates (views.go), kept in step with every engine
 	// call and lifecycle change via touch/setState.
@@ -370,7 +367,6 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 		readyGen: make([]int, len(reps)),
 		sched:    fs,
 	}
-	fs.indexed, _ = fs.placement.(indexedPlacement)
 	fs.initViews()
 	return fs, nil
 }
@@ -548,7 +544,7 @@ func (fs *fleetSim) dispatch(_ context.Context, e *event) error {
 		// Disaggregated handoff: the KV is staged, place it now (after
 		// an autoscale decision — the landing is a placement boundary).
 		fs.autoscale(e.at)
-		if dst := fs.place(e.rec.req); dst >= 0 {
+		if dst := fs.placement.place(fs, e.rec.req); dst >= 0 {
 			return fs.enqueueOn(dst, e.rec)
 		}
 		fs.held.pushBack(heldReq{rec: e.rec})
@@ -628,7 +624,7 @@ func (fs *fleetSim) dispatch(_ context.Context, e *event) error {
 		if e.gen > 0 {
 			// Progress to recompute: the request decodes from gen, but its
 			// re-admission charges the full Context+gen KV rebuild.
-			if dst := fs.place(e.rec.req); dst >= 0 {
+			if dst := fs.placement.place(fs, e.rec.req); dst >= 0 {
 				return fs.enqueueRecomputeOn(dst, e.rec, e.gen)
 			}
 			fs.held.pushBack(heldReq{rec: e.rec, recompute: true, gen: e.gen})
@@ -683,7 +679,7 @@ func (fs *fleetSim) routeBody(rec *record, at float64) error {
 		fs.push(evHandoff, rec, 0, -1, end+transfer)
 		return nil
 	}
-	if dst := fs.place(rec.req); dst >= 0 {
+	if dst := fs.placement.place(fs, rec.req); dst >= 0 {
 		fs.localPrefill(dst, rec, at)
 		return nil
 	}
@@ -707,56 +703,9 @@ func (fs *fleetSim) pickPrefill() int {
 	return fs.views.prefillFree.first()
 }
 
-// place asks the placement policy for a decode replica, -1 to hold.
-// Replicas that are not online (standby, warming, draining) are never
-// placement targets: they show as non-fitting with zero headroom. The
-// built-in policies answer from the ordered indexes in O(log n); a
-// custom Placement still sees the full []FleetLoad snapshot, built into
-// a reused scratch buffer.
-func (fs *fleetSim) place(r workload.Request) int {
-	if fs.indexed != nil {
-		return fs.indexed.placeIndexed(fs, r)
-	}
-	v := &fs.views
-	if cap(v.loadScratch) < len(fs.decoders) {
-		v.loadScratch = make([]FleetLoad, len(fs.decoders))
-	}
-	loads := v.loadScratch[:len(fs.decoders)]
-	for i, d := range fs.decoders {
-		// An idle replica's clock is pulled lazily (enqueueOn); the
-		// snapshot shows what the eager every-event sync would have: the
-		// scheduler clock.
-		clk := d.clock
-		if clk < fs.clock && d.eng.Idle() {
-			clk = fs.clock
-		}
-		loads[i] = FleetLoad{
-			Load: Load{
-				OutstandingTokens: d.eng.OutstandingTokens(),
-				Active:            d.eng.Active(),
-				Pending:           d.eng.Pending(),
-				Clock:             clk,
-			},
-			Role:        d.role,
-			FreeKVBytes: d.eng.FreeKVBytes(),
-			Fits:        d.eng.HasHeadroom(r),
-		}
-		if fs.state[i] != stateOnline || fs.degraded(i) {
-			loads[i].Fits = false
-			loads[i].FreeKVBytes = 0
-		}
-	}
-	dst := fs.placement.Place(r, loads)
-	if dst >= len(fs.decoders) {
-		return -1
-	}
-	return dst
-}
-
 // enqueueOn commits a prefilled request to a decoder's queue. An idle
-// destination's clock is pulled up to the scheduler clock first (the
-// lazy counterpart of the old every-event syncIdle sweep), so the ready
-// entry wake arms lands at now, not at a stale idle timestamp.
+// destination's clock is pulled up to the scheduler clock first, so the
+// ready entry wake arms lands at now, not at a stale idle timestamp.
 func (fs *fleetSim) enqueueOn(dst int, rec *record) error {
 	rec.replica = dst
 	d := fs.decoders[dst]
@@ -794,7 +743,7 @@ func (fs *fleetSim) enqueueRecomputeOn(dst int, rec *record, gen int) error {
 func (fs *fleetSim) placeHeld(now float64) {
 	for fs.held.len() > 0 {
 		h := fs.held.front()
-		dst := fs.place(h.rec.req)
+		dst := fs.placement.place(fs, h.rec.req)
 		if dst < 0 {
 			return
 		}

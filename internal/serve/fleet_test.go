@@ -44,8 +44,8 @@ func tinyArrivals(n int) []workload.Arrival {
 type pinFirst struct{}
 
 func (pinFirst) Name() string { return "pin-first" }
-func (pinFirst) Place(_ workload.Request, loads []FleetLoad) int {
-	if loads[0].Fits {
+func (pinFirst) place(fs *fleetSim, r workload.Request) int {
+	if fs.decoders[0].eng.HasHeadroom(r) {
 		return 0
 	}
 	return -1
@@ -253,12 +253,12 @@ func TestStealSkipsUnadmittableThief(t *testing.T) {
 }
 
 // pinSecond funnels everything to replica 1 whether it fits or not — a
-// misbehaving custom placement, used to prove a request queued on a
-// replica that can never admit it fails loudly instead of spinning.
+// misbehaving placement, used to prove a request queued on a replica
+// that can never admit it fails loudly instead of spinning.
 type pinSecond struct{}
 
-func (pinSecond) Name() string                                { return "pin-second" }
-func (pinSecond) Place(_ workload.Request, _ []FleetLoad) int { return 1 }
+func (pinSecond) Name() string                          { return "pin-second" }
+func (pinSecond) place(*fleetSim, workload.Request) int { return 1 }
 
 // TestSpineStallIsLoud: a request queued on a replica that can never
 // admit it (the failure mode the steal guard prevents) must surface as
@@ -409,6 +409,42 @@ func TestFleetValidate(t *testing.T) {
 	}
 }
 
+// TestClassicValidate: classic mode (no Fleet specs) must reject every
+// fleet-only knob with an error that names it, instead of silently
+// ignoring it.
+func TestClassicValidate(t *testing.T) {
+	classic := func() Config {
+		return Config{System: testSystem(), Replicas: 2, Policy: RoundRobin()}
+	}
+	cases := []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Placement", func(c *Config) { c.Placement = KVHeadroom() }},
+		{"Migrate", func(c *Config) { c.Migrate = true }},
+		{"Steal", func(c *Config) { c.Steal = true }},
+		{"LeapHorizon", func(c *Config) { c.LeapHorizon = 8 }},
+		{"Autoscaler", func(c *Config) { c.Autoscaler = NewSLOScaler() }},
+		{"Faults", func(c *Config) {
+			c.Faults = &FaultPlan{Groups: []FaultGroup{{Spec: -1, MTBFSeconds: 1, MTTRSeconds: 1}}}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.field, func(t *testing.T) {
+			cfg := classic()
+			c.set(&cfg)
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("classic config with %s: Validate() = %v, want an error naming it", c.field, err)
+			}
+		})
+	}
+	ok := classic()
+	if err := ok.Validate(); err != nil {
+		t.Errorf("plain classic config rejected: %v", err)
+	}
+}
+
 func TestRoleSummary(t *testing.T) {
 	got := RoleSummary([]ReplicaSpec{
 		{Count: 1, Role: RolePrefill},
@@ -437,27 +473,55 @@ func TestPlacementByName(t *testing.T) {
 	}
 }
 
-// TestPlacements exercises the built-in policies' selection rules.
+// TestPlacements exercises the built-in policies' selection rules on a
+// small fleet of tight replicas. Replica 0 holds a long-prompt,
+// short-decode request (least free KV, fewest owed tokens), replica 1 a
+// short-prompt, long-decode one, and replica 2 is empty — the most free
+// KV and nothing owed — but degraded, so it fits nothing.
 func TestPlacements(t *testing.T) {
-	loads := []FleetLoad{
-		{Load: Load{OutstandingTokens: 5}, FreeKVBytes: 10, Fits: true},
-		{Load: Load{OutstandingTokens: 1}, FreeKVBytes: 30, Fits: true},
-		{Load: Load{OutstandingTokens: 0}, FreeKVBytes: 99, Fits: false},
+	fs, err := newFleetSim(Config{
+		Fleet: []ReplicaSpec{{System: tightSystem(), Count: 3, Role: RoleUnified}},
+		SLO:   SLO{TTFT: 1, TBT: 0.2},
+	}, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := workload.Request{ID: 1, Context: 10, Decode: 5}
-	if got := KVHeadroom().Place(r, loads); got != 1 {
+	for i, req := range []workload.Request{
+		{ID: 1, Context: 2000, Decode: 10},
+		{ID: 2, Context: 100, Decode: 1000},
+	} {
+		eng := fs.decoders[i].eng
+		if err := eng.Enqueue(req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Step(t.Context()); err != nil { // admit
+			t.Fatal(err)
+		}
+		fs.touch(i)
+	}
+	fs.slowStack = make([][]*faultChain, len(fs.decoders))
+	fs.slowStack[2] = []*faultChain{{}}
+	fs.touch(2)
+	d := fs.decoders
+	if !(d[1].eng.FreeKVBytes() > d[0].eng.FreeKVBytes() && d[2].eng.FreeKVBytes() > d[1].eng.FreeKVBytes()) ||
+		!(d[0].eng.OutstandingTokens() < d[1].eng.OutstandingTokens() && d[2].eng.OutstandingTokens() == 0) {
+		t.Fatal("fixture does not separate the replicas by free KV and owed tokens")
+	}
+	r := workload.Request{ID: 3, Context: 10, Decode: 5}
+	if got := KVHeadroom().place(fs, r); got != 1 {
 		t.Errorf("kv-headroom picked %d, want 1 (most free among fitting)", got)
 	}
-	if got := LeastTokensFit().Place(r, loads); got != 1 {
-		t.Errorf("least-tokens-fit picked %d, want 1", got)
+	if got := LeastTokensFit().place(fs, r); got != 0 {
+		t.Errorf("least-tokens-fit picked %d, want 0 (fewest owed among fitting)", got)
 	}
 	rr := RoundRobinFit()
-	if a, b := rr.Place(r, loads), rr.Place(r, loads); a != 0 || b != 1 {
-		t.Errorf("round-robin-fit picked %d,%d, want 0,1 (skipping the non-fitting)", a, b)
+	if a, b, c := rr.place(fs, r), rr.place(fs, r), rr.place(fs, r); a != 0 || b != 1 || c != 0 {
+		t.Errorf("round-robin-fit picked %d,%d,%d, want 0,1,0 (skipping the non-fitting)", a, b, c)
 	}
-	none := []FleetLoad{{Fits: false}}
+	// A serving horizon past every tight pool fits nowhere.
+	huge := workload.Request{ID: 4, Context: 16, Decode: 30000}
 	for _, p := range []Placement{KVHeadroom(), LeastTokensFit(), RoundRobinFit()} {
-		if got := p.Place(r, none); got != -1 {
+		if got := p.place(fs, huge); got != -1 {
 			t.Errorf("%s placed %d with nothing fitting, want -1 (hold)", p.Name(), got)
 		}
 	}

@@ -70,11 +70,6 @@ func runVariant(t *testing.T, cfg serve.Config, arr []workload.Arrival) (string,
 	return simtest.Fingerprint(rep), true
 }
 
-// hiddenIndex wraps a built-in placement behind an interface embed so
-// its O(log n) fast path is invisible to the scheduler's type
-// assertion, forcing the linear []FleetLoad fallback.
-type hiddenIndex struct{ serve.Placement }
-
 // fuzzFaultPlan expands the fault word into a bounded recurring fault
 // schedule over every decode replica: zero means fault-free, anything
 // else picks a mode, an MTBF floor high enough that retries outrun the
@@ -173,11 +168,11 @@ func FuzzDESSchedule(f *testing.F) {
 		// and explicit evScaleEval timers), so autoscaled runs are
 		// leap-invariant like every other configuration — single-step
 		// must match leap, and at every granularity the indexed
-		// O(log n) placement path must produce the same bytes as the
-		// linear []FleetLoad scan it replaced (hiddenIndex forces the
-		// fallback for the same built-in policy).
+		// O(log n) placement must produce the same bytes as the linear
+		// scan it replaced (serve.LinearOnly decides the same built-in
+		// policy by that scan).
 		if shape&128 != 0 {
-			auto := func(single bool, hide bool) serve.Config {
+			auto := func(single, linear bool) serve.Config {
 				cfg := fleet(single, 0)
 				cfg.Fleet = []serve.ReplicaSpec{
 					{System: simtest.System("pim-dpa"), Count: 3, Min: 1, Role: serve.RoleUnified,
@@ -185,17 +180,17 @@ func FuzzDESSchedule(f *testing.F) {
 				}
 				cfg.Autoscaler = serve.NewSLOScaler()
 				cfg.Placement = serve.KVHeadroom()
-				if hide {
-					cfg.Placement = hiddenIndex{cfg.Placement}
+				if linear {
+					cfg.Placement = serve.LinearOnly(cfg.Placement)
 				}
 				return cfg
 			}
 			ref, okRef := runVariant(t, auto(false, false), arr)
-			for _, v := range []struct{ single, hide bool }{{false, true}, {true, false}, {true, true}} {
-				got, ok := runVariant(t, auto(v.single, v.hide), arr)
+			for _, v := range []struct{ single, linear bool }{{false, true}, {true, false}, {true, true}} {
+				got, ok := runVariant(t, auto(v.single, v.linear), arr)
 				if ok != okRef || got != ref {
-					t.Errorf("autoscaled variant diverged (single=%v hidden-index=%v):\n ref (%v) %s\n got (%v) %s",
-						v.single, v.hide, okRef, ref, ok, got)
+					t.Errorf("autoscaled variant diverged (single=%v linear=%v):\n ref (%v) %s\n got (%v) %s",
+						v.single, v.linear, okRef, ref, ok, got)
 				}
 			}
 		}

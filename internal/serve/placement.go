@@ -6,45 +6,22 @@ import (
 	"pimphony/internal/workload"
 )
 
-// FleetLoad is one decode replica's state at a fleet placement
-// decision: the routing Load plus the KV-headroom view the global
-// scheduler admits against.
-type FleetLoad struct {
-	Load
-	// Role is the replica's place in the prefill/decode split
-	// (RoleUnified or RoleDecode; pure-prefill replicas are not decode
-	// targets and never appear in a placement decision).
-	Role Role
-	// FreeKVBytes is the replica's unreserved KV pool capacity.
-	FreeKVBytes int64
-	// Fits reports whether the replica's allocator could admit the
-	// request being placed right now at its serving horizon (the same
-	// predicate the engine's own admission uses). Placement against
-	// fleet-wide headroom means preferring fitting replicas; a request
-	// fitting nowhere is held in the global queue until capacity frees.
-	Fits bool
-}
-
 // Placement places one request on a decode replica index, or returns -1
 // to hold it in the fleet's global queue until a later decision point
 // (the cross-replica admission control: no replica has KV headroom, so
 // the request should not yet be committed to any per-replica queue).
-// Placements may keep state, so each simulation needs its own instance.
+//
+// The set is sealed to the built-in policies below. Each answers from
+// the fleet's ordered indexes (views.go) in O(log n): an index orders by
+// (key, replica index), so "first entry that can admit the request" is
+// "best fitting replica, ties to the lowest index". Replicas that are
+// not online (standby, warming, draining, failed) or are degraded never
+// fit. The linear scans the indexes replaced are the oracle in
+// views_test.go. Placements may keep state, so each simulation needs
+// its own instance.
 type Placement interface {
 	Name() string
-	Place(r workload.Request, loads []FleetLoad) int
-}
-
-// indexedPlacement is the built-in policies' O(log n) fast path: answer
-// a placement from the fleet's ordered indexes (views.go) instead of a
-// freshly built []FleetLoad scan. Each implementation must pick the
-// byte-identical replica its Place method picks — the indexes order by
-// (key, replica index), so "first acceptable entry in index order"
-// reproduces the scans' lowest-index tie-breaking exactly; the oracle
-// suite in views_test.go pins the equivalence. Custom Placements
-// without this interface still get the full snapshot scan.
-type indexedPlacement interface {
-	placeIndexed(fs *fleetSim, r workload.Request) int
+	place(fs *fleetSim, r workload.Request) int
 }
 
 // KVHeadroom places on the fitting replica with the most free KV pool
@@ -57,22 +34,9 @@ type kvHeadroom struct{}
 
 func (kvHeadroom) Name() string { return "kv-headroom" }
 
-func (kvHeadroom) Place(_ workload.Request, loads []FleetLoad) int {
-	best := -1
-	for i, l := range loads {
-		if !l.Fits {
-			continue
-		}
-		if best < 0 || l.FreeKVBytes > loads[best].FreeKVBytes {
-			best = i
-		}
-	}
-	return best
-}
-
-// placeIndexed walks online decoders by free KV descending (ties to the
-// lowest index) and takes the first that can admit the request.
-func (kvHeadroom) placeIndexed(fs *fleetSim, r workload.Request) int {
+// place walks online decoders by free KV descending (ties to the lowest
+// index) and takes the first that can admit the request.
+func (kvHeadroom) place(fs *fleetSim, r workload.Request) int {
 	dst := -1
 	fs.views.byFreeKV.ascend(func(i int) bool {
 		if !fs.decoders[i].eng.HasHeadroom(r) {
@@ -94,23 +58,10 @@ type leastTokensFit struct{}
 
 func (leastTokensFit) Name() string { return "least-tokens-fit" }
 
-func (leastTokensFit) Place(_ workload.Request, loads []FleetLoad) int {
-	best := -1
-	for i, l := range loads {
-		if !l.Fits {
-			continue
-		}
-		if best < 0 || l.OutstandingTokens < loads[best].OutstandingTokens {
-			best = i
-		}
-	}
-	return best
-}
-
-// placeIndexed walks online decoders by outstanding decode tokens
-// ascending (ties to the lowest index) and takes the first that can
-// admit the request.
-func (leastTokensFit) placeIndexed(fs *fleetSim, r workload.Request) int {
+// place walks online decoders by outstanding decode tokens ascending
+// (ties to the lowest index) and takes the first that can admit the
+// request.
+func (leastTokensFit) place(fs *fleetSim, r workload.Request) int {
 	dst := -1
 	fs.views.byTokens.ascend(func(i int) bool {
 		if !fs.decoders[i].eng.HasHeadroom(r) {
@@ -130,25 +81,13 @@ type roundRobinFit struct{ next int }
 
 func (*roundRobinFit) Name() string { return "round-robin-fit" }
 
-func (p *roundRobinFit) Place(_ workload.Request, loads []FleetLoad) int {
-	for probe := 0; probe < len(loads); probe++ {
-		i := (p.next + probe) % len(loads)
-		if loads[i].Fits {
-			p.next = i + 1
-			return i
-		}
-	}
-	return -1
-}
-
-// placeIndexed resumes the cyclic probe at the cursor over the online
-// set (keyed by replica index): entries at or after the cursor first,
-// then wrapping to those before it. The linear probe visited non-online
-// replicas too, but they never fit, so skipping them is identical; the
-// cursor advances only on a successful placement, as in Place. Degraded
-// replicas stay in the online index (they are online), so the probe
-// skips them explicitly, matching the snapshot's Fits=false.
-func (p *roundRobinFit) placeIndexed(fs *fleetSim, r workload.Request) int {
+// place resumes the cyclic probe at the cursor over the online set
+// (keyed by replica index): entries at or after the cursor first, then
+// wrapping to those before it. Replicas that are not online never fit,
+// so the probe skips them by walking the online index; degraded
+// replicas stay in that index (they are online), so the probe skips
+// them explicitly. The cursor advances only on a successful placement.
+func (p *roundRobinFit) place(fs *fleetSim, r workload.Request) int {
 	start := p.next % len(fs.decoders)
 	dst := -1
 	probe := func(i int) bool {

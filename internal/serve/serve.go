@@ -111,16 +111,16 @@ type Config struct {
 	// ones (handoffs need a link).
 	Interconnect timing.Interconnect
 	// Placement places decode work on fleet replicas against fleet-wide
-	// KV headroom (nil = KVHeadroom()). Like Policy, each Run needs a
-	// fresh instance.
+	// KV headroom (nil = KVHeadroom()). Fleet mode only. Like Policy,
+	// each Run needs a fresh instance.
 	Placement Placement
 	// Migrate lets the fleet scheduler move a preempted request's KV to
 	// another replica when the transfer is cheaper than the recompute
-	// its re-admission would charge.
+	// its re-admission would charge. Fleet mode only.
 	Migrate bool
 	// Steal lets idle decode replicas take queued zero-progress
 	// requests from the most backlogged replica (prompt KV moves over
-	// the interconnect).
+	// the interconnect). Fleet mode only.
 	Steal bool
 	// Autoscaler, when non-nil, lets the fleet's global scheduler grow
 	// and shrink the online decode-replica set while the run plays out:
@@ -131,8 +131,9 @@ type Config struct {
 	Autoscaler Autoscaler
 	// LeapHorizon caps iterations per engine leap in fleet mode, so a
 	// draining replica cannot run arbitrarily far past the next global
-	// event (0 = the fleetLeapHorizon default). Reports are identical
-	// at any value; only simulation granularity changes.
+	// event (0 = the fleetLeapHorizon default). Fleet mode only.
+	// Reports are identical at any value; only simulation granularity
+	// changes.
 	LeapHorizon int
 	// Faults injects deterministic replica failures — crashes, transient
 	// slowdowns, interconnect degradation — compiled into explicit heap
@@ -155,6 +156,14 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("serve: Autoscaler requires fleet mode (set Fleet specs)")
 	case c.Faults.active():
 		return fmt.Errorf("serve: Faults require fleet mode (set Fleet specs)")
+	case c.Placement != nil:
+		return fmt.Errorf("serve: Placement requires fleet mode (set Fleet specs); classic mode routes with Policy")
+	case c.Migrate:
+		return fmt.Errorf("serve: Migrate requires fleet mode (set Fleet specs)")
+	case c.Steal:
+		return fmt.Errorf("serve: Steal requires fleet mode (set Fleet specs)")
+	case c.LeapHorizon != 0:
+		return fmt.Errorf("serve: LeapHorizon requires fleet mode (set Fleet specs)")
 	}
 	return nil
 }

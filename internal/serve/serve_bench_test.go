@@ -48,8 +48,7 @@ func BenchmarkServeRun(b *testing.B) {
 // BenchmarkFleetPlacement measures one placement decision on a
 // few-hundred-replica fleet and pins the allocation contract the
 // indexed scheduler exists for: zero allocations per decision, for
-// every built-in policy's O(log n) path and for the custom-policy
-// fallback once its []FleetLoad scratch is warm.
+// every built-in policy's O(log n) path.
 func BenchmarkFleetPlacement(b *testing.B) {
 	const replicas = 256
 	fs, err := newFleetSim(Config{
@@ -74,19 +73,16 @@ func BenchmarkFleetPlacement(b *testing.B) {
 		{"kv-headroom", KVHeadroom()},
 		{"least-tokens-fit", LeastTokensFit()},
 		{"round-robin-fit", RoundRobinFit()},
-		{"custom-fallback", linearOnly{KVHeadroom()}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			fs.placement = c.p
-			fs.indexed, _ = c.p.(indexedPlacement)
-			fs.place(probe) // warm the fallback's scratch buffer
-			if allocs := testing.AllocsPerRun(100, func() { fs.place(probe) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(100, func() { fs.placement.place(fs, probe) }); allocs != 0 {
 				b.Fatalf("%s: %v allocs per placement, want 0", c.name, allocs)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fs.place(probe)
+				fs.placement.place(fs, probe)
 			}
 		})
 	}

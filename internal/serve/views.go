@@ -64,11 +64,8 @@ type fleetViews struct {
 	onlineCnt, warmingCnt, standbyCnt int
 	failedCnt                         int
 
-	// thiefScratch and loadScratch are reused per-decision buffers: the
-	// steal loop's thief snapshot and the []FleetLoad build for custom
-	// (non-indexed) placements.
+	// thiefScratch is the steal loop's reused thief snapshot.
 	thiefScratch []int
-	loadScratch  []FleetLoad
 }
 
 // initViews sizes the indexes and folds in the fleet's initial replica

@@ -2,13 +2,14 @@
 // scheduler answers from its maintained views (views.go, placement.go)
 // is pinned byte-identical to the O(n) linear scan it replaced, two
 // ways. End-to-end: full fleet simulations — migration, stealing,
-// autoscaling, disaggregation — run once through the indexed fast path
-// and once through a wrapper that hides the fast-path interface, and
-// the reports must be deeply equal. Per-decision: a randomized driver
-// pushes a fleetSim through admit/step/preempt/provision/drain/steal
-// sequences and, after every operation, audits each index's membership,
-// keys and order against the live engine state, and each decision
-// procedure against its scan.
+// autoscaling, disaggregation — run once through the indexed placements
+// and once through linearOnly, which decides every placement by the
+// linear scan over a per-decision snapshot, and the reports must be
+// deeply equal. Per-decision: a randomized driver pushes a fleetSim
+// through admit/step/preempt/provision/drain/steal sequences and, after
+// every operation, audits each index's membership, keys and order
+// against the live engine state, and each decision procedure against
+// its scan.
 package serve
 
 import (
@@ -21,12 +22,91 @@ import (
 	"pimphony/internal/workload"
 )
 
-// linearOnly hides a built-in placement's placeIndexed method behind an
-// interface embed: the dynamic type no longer implements
-// indexedPlacement, so place() takes the scratch-built []FleetLoad scan
-// with byte-identical semantics. Name passes through, keeping reports
-// comparable field for field.
+// fleetLoad is one decode replica's state as the linear placement scans
+// see it at a decision.
+type fleetLoad struct {
+	outstandingTokens int
+	freeKVBytes       int64
+	// fits reports whether the replica could admit the request being
+	// placed right now; replicas that are not online or are degraded
+	// never fit and show zero headroom.
+	fits bool
+}
+
+// linearLoads builds the per-decision snapshot the linear scans decide on.
+func linearLoads(fs *fleetSim, r workload.Request) []fleetLoad {
+	loads := make([]fleetLoad, len(fs.decoders))
+	for i, d := range fs.decoders {
+		loads[i] = fleetLoad{
+			outstandingTokens: d.eng.OutstandingTokens(),
+			freeKVBytes:       d.eng.FreeKVBytes(),
+			fits:              d.eng.HasHeadroom(r),
+		}
+		if fs.state[i] != stateOnline || fs.degraded(i) {
+			loads[i].fits = false
+			loads[i].freeKVBytes = 0
+		}
+	}
+	return loads
+}
+
+// scanKVHeadroom is kv-headroom's linear oracle: the fitting replica
+// with the most free KV, ties to the lowest index.
+func scanKVHeadroom(loads []fleetLoad) int {
+	best := -1
+	for i, l := range loads {
+		if l.fits && (best < 0 || l.freeKVBytes > loads[best].freeKVBytes) {
+			best = i
+		}
+	}
+	return best
+}
+
+// scanLeastTokens is least-tokens-fit's linear oracle: the fitting
+// replica owing the fewest decode tokens, ties to the lowest index.
+func scanLeastTokens(loads []fleetLoad) int {
+	best := -1
+	for i, l := range loads {
+		if l.fits && (best < 0 || l.outstandingTokens < loads[best].outstandingTokens) {
+			best = i
+		}
+	}
+	return best
+}
+
+// scan is round-robin-fit's linear oracle: the first fitting replica in
+// cyclic order from the cursor, advancing the cursor past it.
+func (p *roundRobinFit) scan(loads []fleetLoad) int {
+	for probe := 0; probe < len(loads); probe++ {
+		i := (p.next + probe) % len(loads)
+		if loads[i].fits {
+			p.next = i + 1
+			return i
+		}
+	}
+	return -1
+}
+
+// linearOnly decides every placement of the wrapped built-in policy by
+// its linear scan over a fresh snapshot instead of the indexes. Name
+// passes through, keeping reports comparable field for field.
 type linearOnly struct{ Placement }
+
+func (l linearOnly) place(fs *fleetSim, r workload.Request) int {
+	loads := linearLoads(fs, r)
+	switch p := l.Placement.(type) {
+	case kvHeadroom:
+		return scanKVHeadroom(loads)
+	case leastTokensFit:
+		return scanLeastTokens(loads)
+	case *roundRobinFit:
+		return p.scan(loads)
+	}
+	panic("linearOnly: no linear oracle for " + l.Name())
+}
+
+// LinearOnly exposes linearOnly to the external fuzz suite.
+func LinearOnly(p Placement) Placement { return linearOnly{p} }
 
 // TestIndexedPlacementMatchesLinearEndToEnd runs full fleet simulations
 // — fixed, autoscaled, and disaggregated shapes with migration and
@@ -101,34 +181,6 @@ func TestIndexedPlacementMatchesLinearEndToEnd(t *testing.T) {
 	}
 }
 
-// linearLoads replicates the pre-index []FleetLoad build the linear
-// scans decided on.
-func linearLoads(fs *fleetSim, r workload.Request) []FleetLoad {
-	loads := make([]FleetLoad, len(fs.decoders))
-	for i, d := range fs.decoders {
-		clk := d.clock
-		if clk < fs.clock && d.eng.Idle() {
-			clk = fs.clock
-		}
-		loads[i] = FleetLoad{
-			Load: Load{
-				OutstandingTokens: d.eng.OutstandingTokens(),
-				Active:            d.eng.Active(),
-				Pending:           d.eng.Pending(),
-				Clock:             clk,
-			},
-			Role:        d.role,
-			FreeKVBytes: d.eng.FreeKVBytes(),
-			Fits:        d.eng.HasHeadroom(r),
-		}
-		if fs.state[i] != stateOnline {
-			loads[i].Fits = false
-			loads[i].FreeKVBytes = 0
-		}
-	}
-	return loads
-}
-
 // auditIndex checks one index's membership and key for one replica.
 func auditIndex(t *testing.T, op int, name string, x *ordIndex, i int, member bool, key int64) {
 	t.Helper()
@@ -193,15 +245,15 @@ func auditViews(t *testing.T, op int, fs *fleetSim) {
 func auditDecisions(t *testing.T, op int, fs *fleetSim, r workload.Request, now float64) {
 	t.Helper()
 	loads := linearLoads(fs, r)
-	if lin, idx := (kvHeadroom{}).Place(r, loads), (kvHeadroom{}).placeIndexed(fs, r); lin != idx {
+	if lin, idx := scanKVHeadroom(loads), (kvHeadroom{}).place(fs, r); lin != idx {
 		t.Fatalf("op %d: kv-headroom linear %d, indexed %d", op, lin, idx)
 	}
-	if lin, idx := (leastTokensFit{}).Place(r, loads), (leastTokensFit{}).placeIndexed(fs, r); lin != idx {
+	if lin, idx := scanLeastTokens(loads), (leastTokensFit{}).place(fs, r); lin != idx {
 		t.Fatalf("op %d: least-tokens-fit linear %d, indexed %d", op, lin, idx)
 	}
 	for start := 0; start <= len(fs.decoders); start++ {
 		a, b := &roundRobinFit{next: start}, &roundRobinFit{next: start}
-		if lin, idx := a.Place(r, loads), b.placeIndexed(fs, r); lin != idx || a.next != b.next {
+		if lin, idx := a.scan(loads), b.place(fs, r); lin != idx || a.next != b.next {
 			t.Fatalf("op %d: round-robin(next=%d) linear (%d,%d), indexed (%d,%d)",
 				op, start, lin, a.next, idx, b.next)
 		}
@@ -355,7 +407,7 @@ func TestViewsOracle(t *testing.T) {
 			fs.waiting[req.ID] = rec
 			fs.waitq.pushBack(rec)
 			fs.autoscale(now)
-			if dst := fs.place(req); dst >= 0 {
+			if dst := fs.placement.place(fs, req); dst >= 0 {
 				fs.localPrefill(dst, rec, now)
 			} else {
 				fs.held.pushBack(heldReq{rec: rec, needsPrefill: true})
