@@ -62,9 +62,12 @@ race-serve:
 
 # 30-second fuzz smoke over the DES spine: randomized (seed,
 # arrival-mix, fleet-shape) tuples must keep every synchronization
-# discipline byte-identical and every DES invariant intact.
+# discipline byte-identical and every DES invariant intact. Then 10
+# seconds over the DPA allocator: random operation sequences must hand
+# out the same chunks as the materialized free-list reference.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDESSchedule -fuzztime 30s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzDPA -fuzztime 10s ./internal/memory/
 
 # Render the fleet study on the full grids: homogeneous PIM-only and
 # GPU fleets vs the disaggregated xPU-prefill/PIM-decode split at an

@@ -43,3 +43,15 @@ func BenchmarkDPATranslate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewDPA measures building one allocator for a 2 GiB pool of
+// 1 MiB chunks, the per-replica cost of a large fleet. The free list is
+// a watermark, so the allocations do not grow with the pool.
+func BenchmarkNewDPA(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewDPA(2<<30, 128<<10, DefaultChunkBytes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -8,6 +8,7 @@ package memory
 
 import (
 	"fmt"
+	"slices"
 )
 
 // DefaultChunkBytes is the paper's DPA allocation granularity.
@@ -198,12 +199,20 @@ type ChunkID int
 // translation, the software model of the on-module dispatcher's VA2PA table
 // (Fig. 11). Chunks are handed out on demand as requests grow, so internal
 // fragmentation is limited to the final chunk of each request.
+//
+// The free list is lazy, too. Conceptually it is the stack
+// [nChunks-1, ..., fresh] ++ released: the never-handed-out IDs above the
+// fresh watermark in descending order (so pops hand them out ascending),
+// then every released chunk in release order. Only the released tail is
+// stored; the fresh run is the watermark alone, so building an allocator
+// costs O(1) whatever the pool size.
 type DPA struct {
 	capacity      int64
 	bytesPerToken int64
 	chunkBytes    int64
 	nChunks       int
-	freeList      []ChunkID
+	fresh         int               // lowest never-handed-out chunk ID
+	released      []ChunkID         // released chunks, popped from the end first
 	va2pa         map[int][]ChunkID // request -> virtual chunk order -> physical
 	liveTokens    map[int]int
 	hostMessages  int // host<->module allocation messages (Sec. VI-C)
@@ -230,16 +239,11 @@ func NewDPA(capacity, bytesPerToken, chunkBytes int64) (*DPA, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("memory: capacity %d below one chunk (%d)", capacity, chunkBytes)
 	}
-	free := make([]ChunkID, n)
-	for i := range free {
-		free[i] = ChunkID(n - 1 - i) // pop from the end -> ascending IDs
-	}
 	return &DPA{
 		capacity:      capacity,
 		bytesPerToken: bytesPerToken,
 		chunkBytes:    chunkBytes,
 		nChunks:       n,
-		freeList:      free,
 		va2pa:         make(map[int][]ChunkID),
 		liveTokens:    make(map[int]int),
 	}, nil
@@ -260,10 +264,10 @@ func (d *DPA) Admit(reqID, tokens int) error {
 		return fmt.Errorf("memory: request %d already admitted", reqID)
 	}
 	need := d.chunksFor(tokens)
-	if need > len(d.freeList) {
-		return fmt.Errorf("memory: DPA pool has %d free chunks, need %d", len(d.freeList), need)
+	if free := d.free(); need > free {
+		return fmt.Errorf("memory: DPA pool has %d free chunks, need %d", free, need)
 	}
-	d.va2pa[reqID] = d.pop(need)
+	d.va2pa[reqID] = d.take(make([]ChunkID, 0, need), need)
 	d.liveTokens[reqID] = tokens
 	d.liveTokSum += int64(tokens)
 	d.mappedSum += int64(need)
@@ -284,14 +288,10 @@ func (d *DPA) Grow(reqID, newTokens int) error {
 	have := len(d.va2pa[reqID])
 	need := d.chunksFor(newTokens)
 	if extra := need - have; extra > 0 {
-		if extra > len(d.freeList) {
-			return fmt.Errorf("memory: DPA pool exhausted growing request %d (need %d chunks, %d free)", reqID, extra, len(d.freeList))
+		if free := d.free(); extra > free {
+			return fmt.Errorf("memory: DPA pool exhausted growing request %d (need %d chunks, %d free)", reqID, extra, free)
 		}
-		// Append straight off the free-list tail (the same ascending IDs
-		// pop hands out) without materializing an intermediate slice.
-		tail := d.freeList[len(d.freeList)-extra:]
-		d.va2pa[reqID] = append(d.va2pa[reqID], tail...)
-		d.freeList = d.freeList[:len(d.freeList)-extra]
+		d.va2pa[reqID] = d.take(d.va2pa[reqID], extra)
 		d.mappedSum += int64(extra)
 		d.hostMessages++ // one host message per chunk-allocation event
 	}
@@ -306,7 +306,7 @@ func (d *DPA) Release(reqID int) error {
 	if !ok {
 		return fmt.Errorf("memory: request %d not admitted", reqID)
 	}
-	d.freeList = append(d.freeList, chunks...)
+	d.released = append(d.released, chunks...)
 	d.mappedSum -= int64(len(chunks))
 	d.liveTokSum -= int64(d.liveTokens[reqID])
 	delete(d.va2pa, reqID)
@@ -316,7 +316,7 @@ func (d *DPA) Release(reqID int) error {
 }
 
 // CanAdmit implements Allocator.
-func (d *DPA) CanAdmit(tokens int) bool { return d.chunksFor(tokens) <= len(d.freeList) }
+func (d *DPA) CanAdmit(tokens int) bool { return d.chunksFor(tokens) <= d.free() }
 
 // GrowBudget implements Allocator: the largest lockstep growth whose
 // chunk demand across the whole batch fits the free list. Growth within
@@ -341,7 +341,7 @@ func (d *DPA) GrowBudget(reqIDs []int) int {
 		snap = append(snap, growSnap{live: live, have: len(d.va2pa[id])})
 	}
 	d.growScratch = snap
-	free := len(d.freeList)
+	free := d.free()
 	// Chunks the batch must allocate to grow n tokens per request.
 	need := func(n int) int {
 		total := 0
@@ -412,11 +412,26 @@ func (d *DPA) Chunks(reqID int) []ChunkID {
 	return out
 }
 
-func (d *DPA) pop(n int) []ChunkID {
-	out := make([]ChunkID, n)
-	copy(out, d.freeList[len(d.freeList)-n:])
-	d.freeList = d.freeList[:len(d.freeList)-n]
-	return out
+// free is the free-list length: the fresh run plus the released tail.
+func (d *DPA) free() int { return d.nChunks - d.fresh + len(d.released) }
+
+// take pops the free list's last n chunks (n <= free()) and appends them
+// to dst in list order: first the fresh IDs the released tail does not
+// cover, descending fresh+k-1 ... fresh, then the whole released tail.
+// dst grows once, to the capacity a single append of n chunks would give.
+func (d *DPA) take(dst []ChunkID, n int) []ChunkID {
+	dst = slices.Grow(dst, n)
+	if k := n - len(d.released); k > 0 {
+		for id := d.fresh + k - 1; id >= d.fresh; id-- {
+			dst = append(dst, ChunkID(id))
+		}
+		d.fresh += k
+		n -= k
+	}
+	rest := len(d.released) - n
+	dst = append(dst, d.released[rest:]...)
+	d.released = d.released[:rest]
+	return dst
 }
 
 // ---------------------------------------------------------------------------

@@ -249,6 +249,21 @@ func TestConstructorValidation(t *testing.T) {
 	}
 }
 
+// NewDPA keeps the free list as a watermark: building an allocator costs
+// the same allocations for a 2 MiB pool as for a 64 GiB one.
+func TestNewDPAAllocsIndependentOfCapacity(t *testing.T) {
+	allocs := func(capacity int64) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := NewDPA(capacity, 128*kib, DefaultChunkBytes); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(2*mib), allocs(64*gib); large != small {
+		t.Fatalf("NewDPA allocates %v times for 64 GiB, %v for 2 MiB; want equal", large, small)
+	}
+}
+
 // Property: under random admit/grow/release traffic the DPA allocator never
 // double-maps a physical chunk, never leaks, and utilization stays in [0,1].
 func TestDPAInvariantProperty(t *testing.T) {

@@ -482,8 +482,9 @@ func (fs *fleetSim) retryOrFail(rec *record, gen int, at float64) error {
 }
 
 // faultQuiescent reports whether nothing but fault timers can ever run
-// again: no chain applied, every decoder idle, and only
-// fault/scale-eval entries (or stale ready entries) left in the heap.
+// again: no chain applied, every decoder idle, no arrival left, and
+// only fault/scale-eval entries (or stale ready entries) left in the
+// heap.
 // In that state no future event changes placement capacity upward, so a
 // non-empty held queue must either be resolved by idleWork's backstop
 // or is a permanent stall — without the check, an eternal fault chain
@@ -499,12 +500,5 @@ func (fs *fleetSim) faultQuiescent() bool {
 			return false
 		}
 	}
-	for _, ev := range fs.events {
-		switch ev.kind {
-		case evFail, evRecover, evScaleEval, evReady:
-		default:
-			return false
-		}
-	}
-	return true
+	return !fs.pendingProgress()
 }

@@ -384,10 +384,9 @@ func runFleet(ctx context.Context, cfg Config, arrivals []workload.Arrival) (*Re
 		if _, dup := fs.recs[a.Req.ID]; dup {
 			return nil, fmt.Errorf("serve: duplicate request ID %d in schedule", a.Req.ID)
 		}
-		rec := &record{req: a.Req, arrival: a.At, replica: -1}
-		fs.recs[a.Req.ID] = rec
-		fs.pushArrival(rec, a)
+		fs.recs[a.Req.ID] = &record{req: a.Req, arrival: a.At, replica: -1}
 	}
+	fs.arrivals = arrivals
 	fs.firstArrival = arrivals[0].At
 	fs.initFaults()
 	if err := fs.spine.run(ctx); err != nil {
@@ -464,21 +463,6 @@ func (fs *fleetSim) idleWork() (bool, error) {
 		}
 	}
 	return false, fmt.Errorf("serve: %d requests held with no fleet replica able to admit them", n)
-}
-
-// pendingProgress reports whether the heap holds an event that can move
-// work or create capacity. Fault chains, scale-eval timers and ready
-// ticks do not count: an eternal fault chain must not keep a stalled
-// simulation alive, and a bare timer resolves at its own dispatch.
-func (fs *fleetSim) pendingProgress() bool {
-	for _, ev := range fs.events {
-		switch ev.kind {
-		case evFail, evRecover, evScaleEval, evReady:
-		default:
-			return true
-		}
-	}
-	return false
 }
 
 // considerMigration decides a preempted request's fate: move its live

@@ -421,10 +421,9 @@ func Run(ctx context.Context, cfg Config, arrivals []workload.Arrival) (*Report,
 		if _, dup := s.recs[a.Req.ID]; dup {
 			return nil, fmt.Errorf("serve: duplicate request ID %d in schedule", a.Req.ID)
 		}
-		rec := &record{req: a.Req, arrival: a.At, replica: -1}
-		s.recs[a.Req.ID] = rec
-		s.pushArrival(rec, a)
+		s.recs[a.Req.ID] = &record{req: a.Req, arrival: a.At, replica: -1}
 	}
+	s.arrivals = arrivals
 	if err := s.spine.run(ctx); err != nil {
 		return nil, err
 	}

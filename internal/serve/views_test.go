@@ -13,7 +13,6 @@
 package serve
 
 import (
-	"container/heap"
 	"math"
 	"reflect"
 	"testing"
@@ -438,11 +437,12 @@ func TestViewsOracle(t *testing.T) {
 				t.Fatalf("op %d: react: %v", op, err)
 			}
 		case c < 80: // land pending events in time order
-			for fs.events.Len() > 0 {
-				e := heap.Pop(&fs.events).(*event)
-				if e.kind == evReady {
+			for fs.events.len() > 0 {
+				en, p := fs.events.pop()
+				if en.ready() {
 					continue
 				}
+				e := &event{at: en.at, payload: p}
 				if e.at > now {
 					now = e.at
 				}
