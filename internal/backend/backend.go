@@ -7,11 +7,11 @@
 // semantics. The step loop in internal/cluster (both the batch simulator
 // and the serving engine) is backend-agnostic: it admits against the
 // backend's Admission parameters, prices every iteration through the
-// backend's Stepper (Incremental; the PIM-attention backends) or its
-// stateless Step (the GPU), and accrues energy through
-// Backend.IterEnergy. Each backend has one pricing implementation: a
-// PIM backend's Step is a one-shot stepper. Adding a new system
-// organisation is one Register call; no step-loop fork.
+// StepSlice entry point of the backend's stepper (Incremental, which
+// every backend implements), and accrues energy through
+// Backend.IterEnergy. Each backend has one pricing implementation: its
+// Step is a one-shot stepper. Adding a new system organisation is one
+// Register call; no step-loop fork.
 package backend
 
 import (

@@ -286,7 +286,8 @@ func TestPPPipelineComposition(t *testing.T) {
 }
 
 // TestGPUStepMatchesRoofline: the GPU step is the plain A100 roofline
-// sum of batched FC and flash-decoding attention.
+// sum of batched FC and flash-decoding attention, and its stepper's
+// slice entry point prices it bit for bit.
 func TestGPUStepMatchesRoofline(t *testing.T) {
 	m := model.LLM7B32K()
 	env := gpuEnv(m)
@@ -308,6 +309,17 @@ func TestGPUStepMatchesRoofline(t *testing.T) {
 	}
 	if cost.Stats != (Stats{}) {
 		t.Errorf("gpu step should carry no PIM stats: %+v", cost.Stats)
+	}
+	toks := make([]int, len(batch))
+	for i, r := range batch {
+		toks[i] = r.Context
+	}
+	slice, err := b.(Incremental).NewStepper(env).(SliceStepper).StepSlice(context.Background(), batch, toks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slice != cost {
+		t.Errorf("gpu StepSlice %+v, Step %+v", slice, cost)
 	}
 }
 

@@ -55,15 +55,33 @@ func (gpu) Admission(env *Env) Admission {
 	}
 }
 
-func (gpu) Step(_ context.Context, env *Env, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
+func (g gpu) Step(ctx context.Context, env *Env, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
+	return g.NewStepper(env).Step(ctx, batch, tokensOf)
+}
+
+// NewStepper implements Incremental.
+func (gpu) NewStepper(env *Env) Stepper { return &gpuStepper{env: env} }
+
+// gpuStepper prices decode iterations on the A100 rooflines: batched-GEMM
+// FC plus flash-decoding attention over the batch's KV bytes. The
+// roofline is closed form, so there is nothing to memoize.
+type gpuStepper struct{ env *Env }
+
+// Step implements Stepper.
+func (s *gpuStepper) Step(ctx context.Context, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
+	return s.StepSlice(ctx, batch, batchTokens(batch, tokensOf))
+}
+
+// StepSlice implements SliceStepper.
+func (s *gpuStepper) StepSlice(_ context.Context, _ []workload.Request, toks []int) (StepCost, error) {
 	g := xpu.A100()
-	m := env.Model
+	m, gpus := s.env.Model, int64(s.env.GPUs)
 	var kv int64
-	for _, r := range batch {
-		kv += m.KVBytes(tokensOf(r))
+	for _, t := range toks {
+		kv += m.KVBytes(t)
 	}
-	fc := g.OpTime(int64(len(batch))*m.FCFlopsPerToken()/int64(env.GPUs), m.WeightBytes()/int64(env.GPUs))
-	attn := g.AttentionTime(kv / int64(env.GPUs))
+	fc := g.OpTime(int64(len(toks))*m.FCFlopsPerToken()/gpus, m.WeightBytes()/gpus)
+	attn := g.AttentionTime(kv / gpus)
 	return StepCost{Seconds: fc + attn, AttnShare: attn / (fc + attn)}, nil
 }
 

@@ -8,15 +8,13 @@ import (
 	"pimphony/internal/workload"
 )
 
-// Incremental is an optional Backend refinement: backends whose
-// iteration price is dominated by re-deriving the per-channel work
-// assignment and re-pricing kernel shapes implement it to expose a
-// stateful stepper that memoizes those derivations across decode
-// iterations. The cluster step loops route every iteration through the
-// stepper when present. For the PIM-attention backends the stepper is
-// the only pricer: their Step builds a one-shot stepper and delegates,
-// and the naive mapping.Assign path survives only as the test oracle
-// (TestStepperMatchesStep) the stepper is pinned against bit for bit.
+// Incremental exposes a backend's stateful stepper, which memoizes the
+// per-channel work assignment and the priced kernel shapes across decode
+// iterations. Every built-in backend implements it, and its stepper is
+// the backend's only pricer: Backend.Step builds a one-shot stepper and
+// delegates. The naive mapping.Assign path of the PIM-attention backends
+// survives only as the test oracle (TestStepperMatchesStep) the stepper
+// is pinned against bit for bit.
 type Incremental interface {
 	NewStepper(env *Env) Stepper
 }
@@ -28,11 +26,10 @@ type Stepper interface {
 	Step(ctx context.Context, batch []workload.Request, tokensOf TokensOf) (StepCost, error)
 }
 
-// SliceStepper is an optional Stepper fast path for callers that already
-// hold every request's token count in batch order: toks[i] is batch[i]'s
-// current KV length. It skips the per-request TokensOf indirection (a
-// closure call plus an ID lookup per request per iteration on the
-// serving fast-forward path) and must price identically to Step.
+// SliceStepper is the Stepper entry point the cluster step loops price
+// through, and the only one: toks[i] is batch[i]'s current KV length, so
+// no per-request TokensOf call is made. It must price identically to
+// Step. cluster.New rejects a backend whose stepper lacks it.
 type SliceStepper interface {
 	StepSlice(ctx context.Context, batch []workload.Request, toks []int) (StepCost, error)
 }
@@ -78,7 +75,6 @@ type pimStepper struct {
 	chSum   []timing.Cycles // per-channel scratch
 	red     timing.Cycles   // Hub.ReduceCycles(channels, HeadDim), constant per system
 	redOK   bool
-	tokBuf  []int // batch-order token counts for the TokensOf entry point
 
 	// Softmax pricing constants hoisted out of Hub.SoftmaxCycles, which
 	// runs once per request per iteration: same arithmetic, no Device
@@ -117,12 +113,17 @@ func (s *pimStepper) softmax(scores int) timing.Cycles {
 
 // Step implements Stepper.
 func (s *pimStepper) Step(_ context.Context, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
-	toks := s.tokBuf[:0]
-	for _, r := range batch {
-		toks = append(toks, tokensOf(r))
+	return s.stepToks(batchTokens(batch, tokensOf))
+}
+
+// batchTokens lists each batch member's current KV length in batch
+// order: every stepper's Step reduces to its StepSlice through it.
+func batchTokens(batch []workload.Request, tokensOf TokensOf) []int {
+	toks := make([]int, len(batch))
+	for i, r := range batch {
+		toks[i] = tokensOf(r)
 	}
-	s.tokBuf = toks
-	return s.stepToks(toks)
+	return toks
 }
 
 // StepSlice implements SliceStepper.

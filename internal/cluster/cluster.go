@@ -170,20 +170,17 @@ type Report struct {
 
 // System is a reusable simulator instance (kernel latencies are memoized
 // across runs on the same device). A System is not safe for concurrent
-// use: the step loops and the backend's incremental stepper share
-// per-System scratch state. Sweeps build one System per point.
+// use: the step loops and the backend's stepper share per-System scratch
+// state. Sweeps build one System per point.
 type System struct {
 	cfg Config
 	be  backend.Backend
 	env *backend.Env
 	adm backend.Admission
-	// stepper is the backend's memoizing iteration pricer (nil for
-	// backends without one); iterate routes every decode iteration
-	// through it so both the batch simulator and the serving engine
-	// price steps incrementally. sliceStepper is its batch-order
-	// token-slice fast path, when the stepper offers one.
-	stepper      backend.Stepper
-	sliceStepper backend.SliceStepper
+	// stepper is the backend's memoizing iteration pricer: iterate, and
+	// through it both the batch simulator and the serving engine, prices
+	// every decode iteration through its StepSlice and nothing else.
+	stepper backend.SliceStepper
 }
 
 // New builds a simulator for a configuration.
@@ -202,14 +199,22 @@ func New(cfg Config) (*System, error) {
 	env.Perf = perfmodel.Shared(cfg.Dev)
 	env.Hub = hub.New(cfg.Dev)
 	env.EMod = energy.Default()
-	s := &System{cfg: cfg, be: be, env: env, adm: be.Admission(env)}
+	st, err := stepperFor(be, env)
+	if err != nil {
+		return nil, err
+	}
+	return &System{cfg: cfg, be: be, env: env, adm: be.Admission(env), stepper: st}, nil
+}
+
+// stepperFor builds the backend's slice stepper, the step loops' one
+// pricing path; a backend without one cannot be simulated.
+func stepperFor(be backend.Backend, env *backend.Env) (backend.SliceStepper, error) {
 	if inc, ok := be.(backend.Incremental); ok {
-		s.stepper = inc.NewStepper(env)
-		if ss, ok := s.stepper.(backend.SliceStepper); ok {
-			s.sliceStepper = ss
+		if ss, ok := inc.NewStepper(env).(backend.SliceStepper); ok {
+			return ss, nil
 		}
 	}
-	return s, nil
+	return nil, fmt.Errorf("cluster %s: backend %q has no slice stepper", env.Name, be.Name())
 }
 
 // Config returns the system configuration.
@@ -473,27 +478,42 @@ func (s *System) formBatch(reqs []workload.Request) (*admitter, error) {
 	return ad, nil
 }
 
-// iterate prices one decode iteration, through the backend's memoizing
-// stepper when it has one (the PIM-attention backends) and through the
-// stateless Backend.Step otherwise (the GPU). Every simulated
-// decode token is tallied for the SimulatedTokens rate metric.
-func (s *System) iterate(ctx context.Context, batch []workload.Request, tokensOf backend.TokensOf) (backend.StepCost, error) {
+// iterate prices one decode iteration of batch, whose members hold toks
+// KV tokens in batch order, through the backend's stepper and accounts
+// it on m. Every simulated decode token is tallied for the
+// SimulatedTokens rate metric.
+func (s *System) iterate(ctx context.Context, m *meter, batch []workload.Request, toks []int) (backend.StepCost, error) {
 	simTokens.Add(int64(len(batch)))
-	if s.stepper != nil {
-		return s.stepper.Step(ctx, batch, tokensOf)
+	cost, err := s.stepper.StepSlice(ctx, batch, toks)
+	if err != nil {
+		return cost, err
 	}
-	return s.be.Step(ctx, s.env, batch, tokensOf)
+	m.busy += cost.Stats.Busy
+	m.span += cost.Stats.Cycles
+	m.channels = cost.Stats.Channels
+	ae, fe := s.be.IterEnergy(s.env, cost, len(batch))
+	m.attnE.Add(ae)
+	m.fcE.Add(fe)
+	return cost, nil
 }
 
-// iterateToks is iterate for callers that hold batch-order token counts:
-// it routes through the stepper's slice fast path when one exists and
-// falls back to the TokensOf seam otherwise.
-func (s *System) iterateToks(ctx context.Context, batch []workload.Request, toks []int, tokensOf backend.TokensOf) (backend.StepCost, error) {
-	if s.sliceStepper != nil {
-		simTokens.Add(int64(len(batch)))
-		return s.sliceStepper.StepSlice(ctx, batch, toks)
+// meter is the per-iteration accounting the batch simulator (RunCtx) and
+// the serving Engine share, accrued by iterate: the attention
+// utilization inputs and the energy at the priced batch size.
+type meter struct {
+	busy, span timing.Cycles
+	channels   int
+	attnE, fcE energy.Breakdown
+}
+
+// util is the aggregate MAC-pipeline utilization over the attention
+// phase across all channels (the Fig. 4 metric), zero before any PIM
+// attention was priced.
+func (m *meter) util() float64 {
+	if m.span == 0 {
+		return 0
 	}
-	return s.iterate(ctx, batch, tokensOf)
+	return float64(m.busy) / (float64(m.span) * float64(m.channels))
 }
 
 // Run simulates a decode window over the given candidate requests and
@@ -518,32 +538,32 @@ func (s *System) RunCtx(ctx context.Context, reqs []workload.Request) (*Report, 
 	}
 	grown := make(map[int]int, len(batch)) // extra tokens generated so far
 	rep := &Report{Config: s.cfg.Name, Backend: s.be.Name(), Batch: len(batch), Steps: s.cfg.DecodeWindow, CapacityUtil: capUtil}
+	var m meter
 	var totalSec, attnShareAcc float64
-	var busy, span timing.Cycles
-	var channels int
+	var toks []int
 	generated := 0
 	stepsRun := 0
 	for step := 0; step < s.cfg.DecodeWindow; step++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		tokensOf := func(r workload.Request) int { return r.Context + grown[r.ID] }
-		cost, err := s.iterate(ctx, batch, tokensOf)
+		toks = toks[:0]
+		for _, r := range batch {
+			toks = append(toks, r.Context+grown[r.ID])
+		}
+		cost, err := s.iterate(ctx, &m, batch, toks)
 		if err != nil {
 			return nil, err
 		}
-		iterSec := cost.Seconds
-		busy += cost.Stats.Busy
-		span += cost.Stats.Cycles
-		channels = cost.Stats.Channels
-		totalSec += iterSec
+		totalSec += cost.Seconds
 		attnShareAcc += cost.AttnShare
 		generated += len(batch)
 		stepsRun++
-		// Advance every request by one generated token.
-		for _, r := range batch {
+		// Advance every request by one generated token, reserving one
+		// extra token of headroom.
+		for i, r := range batch {
 			grown[r.ID]++
-			target := tokensOf(r) + 1
+			target := toks[i] + 2
 			if s.adm.ReserveHorizon {
 				// The full horizon is already reserved upfront; growth
 				// needs no extra headroom and stops at the reservation
@@ -581,10 +601,6 @@ func (s *System) RunCtx(ctx context.Context, reqs []workload.Request) (*Report, 
 				break
 			}
 		}
-		// Accrue this iteration's energy on the backend's model.
-		ae, fe := s.be.IterEnergy(s.env, cost, len(batch))
-		rep.AttnEnergy.Add(ae)
-		rep.FCEnergy.Add(fe)
 	}
 	rep.Steps = stepsRun
 	rep.TotalSeconds = totalSec
@@ -593,9 +609,8 @@ func (s *System) RunCtx(ctx context.Context, reqs []workload.Request) (*Report, 
 		rep.AttnTimeShare = attnShareAcc / float64(stepsRun)
 		rep.TBTSeconds = totalSec / float64(stepsRun)
 	}
-	if span > 0 {
-		rep.PIMUtil = float64(busy) / (float64(span) * float64(channels))
-	}
+	rep.PIMUtil = m.util()
+	rep.AttnEnergy, rep.FCEnergy = m.attnE, m.fcE
 	return rep, nil
 }
 

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"pimphony/internal/backend"
@@ -295,5 +297,48 @@ func TestDIMMPIMAllKVPool(t *testing.T) {
 	// every candidate at these sizes.
 	if rep.Batch != 16 {
 		t.Errorf("dimm pool should admit all 16, got %d", rep.Batch)
+	}
+}
+
+// bareBackend is a complete Backend (every method forwards to a real
+// one) that does not implement backend.Incremental.
+type bareBackend struct{ backend.Backend }
+
+// stepOnlyBackend offers a stepper without the StepSlice entry point.
+type stepOnlyBackend struct{ backend.Backend }
+
+func (stepOnlyBackend) NewStepper(*backend.Env) backend.Stepper { return stepOnly{} }
+
+type stepOnly struct{}
+
+func (stepOnly) Step(context.Context, []workload.Request, backend.TokensOf) (backend.StepCost, error) {
+	return backend.StepCost{}, nil
+}
+
+// TestStepperForRejectsBackendWithoutSliceStepper: New prices only
+// through a slice stepper, so a backend without one is an error that
+// names it. (The fakes are plain values: registering them would change
+// the global registry other tests read.)
+func TestStepperForRejectsBackendWithoutSliceStepper(t *testing.T) {
+	gpu, err := backend.Lookup(backend.GPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &backend.Env{Name: "fake", GPUs: 1, Model: model.LLM7B32K()}
+	if _, err := stepperFor(gpu, env); err != nil {
+		t.Fatalf("gpu backend: %v", err)
+	}
+	for name, be := range map[string]backend.Backend{
+		"not incremental":       bareBackend{gpu},
+		"stepper w/o StepSlice": stepOnlyBackend{gpu},
+	} {
+		st, err := stepperFor(be, env)
+		if err == nil || st != nil {
+			t.Errorf("%s: got stepper %v, err %v; want an error", name, st, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), `"gpu"`) || !strings.Contains(err.Error(), "slice stepper") {
+			t.Errorf("%s: error %q does not name the backend", name, err)
+		}
 	}
 }

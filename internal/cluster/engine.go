@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math"
 
-	"pimphony/internal/backend"
 	"pimphony/internal/energy"
 	"pimphony/internal/memory"
 	"pimphony/internal/perfmodel"
-	"pimphony/internal/timing"
 	"pimphony/internal/workload"
 )
 
@@ -22,7 +20,10 @@ import (
 // batching is inherent to serving, so no ContinuousBatching toggle), and
 // reports per-step events — who was admitted, who generated a token, who
 // completed — from which the caller reconstructs per-request admission
-// and completion timestamps.
+// and completion timestamps. Step and Leap run one iteration body: they
+// snapshot the batch and its token counts, price each iteration through
+// the system's stepper (StepSlice, the only pricing path) with the same
+// accounting RunCtx uses, and retire through one loop.
 //
 // The engine also owns the serving-side failure mode static allocation
 // buys its way out of by over-reserving: under DPA, lazy chunk growth
@@ -45,12 +46,13 @@ type Engine struct {
 	// once per placement decision by fleet schedulers — is O(1) instead
 	// of a scan over the batch and queue.
 	outstanding int
-	// running aggregates for utilization reporting
-	busy, span timing.Cycles
-	channels   int
-	totalSec   float64
-	generated  int
-	steps      int
+	// meter accrues utilization inputs and energy per priced iteration
+	// (zero energy for backends outside the module model, e.g. the GPU);
+	// the fleet report derives joules/token from it.
+	meter     meter
+	totalSec  float64
+	generated int
+	steps     int
 	// capacity accounting (the serving-path Fig. 19 counterpart)
 	preemptions  int
 	maxActive    int
@@ -71,20 +73,14 @@ type Engine struct {
 	// iteration admits, generates or retires, so leap partitioning (and
 	// with it single-step equivalence) is preserved at any scale.
 	timeScale float64
-	// per-iteration energy accrual on the backend's model (zero for
-	// backends outside it, e.g. the GPU); the fleet report derives
-	// joules/token from it.
-	attnE, fcE energy.Breakdown
 	// scratch buffers reused across Step/Leap calls (the step loop's
-	// allocation diet): the batch snapshot, the Generated event list,
-	// and the leap's materialized token counts and ID lookups.
+	// allocation diet): the batch snapshot and its token counts, the
+	// Generated event list, the leap's active IDs and iteration times.
 	batchScratch []workload.Request
-	genScratch   []int
 	tokScratch   []int
+	genScratch   []int
 	idScratch    []int
 	secScratch   []float64
-	posScratch   map[int]int
-	posDense     []int32
 }
 
 // StepResult reports what one decode iteration did.
@@ -141,7 +137,7 @@ type StepResult struct {
 // admission policy and performance model. Every registered backend is
 // servable: the engine admits against the backend's allocator (DPA
 // chunks, static T_max regions, or the GPU's paged pool) and prices
-// iterations through the system's iterate seam, so the GPU baseline gets
+// iterations through the system's stepper, so the GPU baseline gets
 // the same admission, preemption and serving metrics as the PIM systems.
 func (s *System) NewEngine() (*Engine, error) {
 	ad, err := s.newAdmitter(nil)
@@ -203,12 +199,7 @@ func (e *Engine) OutstandingTokens() int { return e.outstanding }
 
 // Utilization is the aggregate MAC-pipeline utilization over the
 // attention phase so far (the Fig. 4 metric), zero before any step.
-func (e *Engine) Utilization() float64 {
-	if e.span == 0 {
-		return 0
-	}
-	return float64(e.busy) / (float64(e.span) * float64(e.channels))
-}
+func (e *Engine) Utilization() float64 { return e.meter.util() }
 
 // Generated is the total number of decode tokens emitted so far.
 func (e *Engine) Generated() int { return e.generated }
@@ -309,10 +300,7 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 			res.RecomputeSeconds += rc
 		}
 	}
-	// Snapshot the batch: preemption mutates the active slice mid-loop.
-	// (Scratch-backed — the snapshot lives only for this step.)
-	batch := append(e.batchScratch[:0], e.ad.active...)
-	e.batchScratch = batch
+	batch, toks := e.snapshot()
 	res.Batch = len(batch)
 	res.Iterations = 1
 	if len(batch) > e.maxActive {
@@ -327,20 +315,9 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 		return res, nil // idle
 	}
 	e.sampleCapacity()
-	tokensOf := func(r workload.Request) int { return r.Context + e.grown[r.ID] }
-	cost, err := s.iterate(ctx, batch, tokensOf)
+	iterSec, err := e.price(ctx, batch, toks)
 	if err != nil {
 		return res, err
-	}
-	e.busy += cost.Stats.Busy
-	e.span += cost.Stats.Cycles
-	e.channels = cost.Stats.Channels
-	ae, fe := s.be.IterEnergy(s.env, cost, len(batch))
-	e.attnE.Add(ae)
-	e.fcE.Add(fe)
-	iterSec := cost.Seconds
-	if e.timeScale != 1 {
-		iterSec *= e.timeScale
 	}
 	res.Seconds = iterSec + res.RecomputeSeconds
 	e.totalSec += res.Seconds
@@ -348,22 +325,21 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 	if len(e.ad.pending) > 0 {
 		e.blockedSec += res.Seconds
 	}
-	e.steps++
 	// Advance every request by one generated token. Growth is to the
 	// exact live token count — unlike RunCtx, which pre-reserves one
 	// extra token of headroom per step: the batch simulator freezes a
 	// boundary request one token earlier and leaves it frozen through
 	// its fixed window, while the serving engine decodes to the window's
-	// edge and truncates there (the retire check below). A failed Grow
-	// (DPA pool exhausted) preempts the youngest admitted request and
-	// retries until the grower succeeds or is itself the victim.
+	// edge and truncates there (the retire check). A failed Grow (DPA
+	// pool exhausted) preempts the youngest admitted request and retries
+	// until the grower succeeds or is itself the victim.
 	res.Generated = e.genScratch[:0]
-	for _, r := range batch {
+	for i, r := range batch {
 		if !e.ad.isActive(r.ID) {
 			continue // evicted earlier this step
 		}
 		e.grown[r.ID]++
-		growErr := e.ad.alloc.Grow(r.ID, tokensOf(r))
+		growErr := e.ad.alloc.Grow(r.ID, toks[i]+1)
 		for growErr != nil && len(e.ad.active) > 1 {
 			victim, perr := e.preemptYoungest()
 			if perr != nil {
@@ -373,7 +349,7 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 			if victim.ID == r.ID {
 				break // the grower itself lost; its token is not emitted
 			}
-			growErr = e.ad.alloc.Grow(r.ID, tokensOf(r))
+			growErr = e.ad.alloc.Grow(r.ID, toks[i]+1)
 		}
 		if growErr != nil {
 			e.grown[r.ID]-- // frozen (sole survivor) or evicted mid-growth
@@ -385,26 +361,9 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 	}
 	e.genScratch = res.Generated
 	e.sampleCapacity()
-	// Retire finished requests — generation length reached, or KV cache
-	// at the context window (truncated generation; without this, a
-	// static-allocation request with Context+Decode > T_max would
-	// freeze forever and stall the batch). (Collect first: release
-	// mutates the active slice.)
-	var done []workload.Request
-	for _, r := range batch {
-		if !e.ad.isActive(r.ID) {
-			continue
-		}
-		if e.grown[r.ID] >= r.Decode || r.Context+e.grown[r.ID] >= s.tmax() {
-			done = append(done, r)
-		}
-	}
-	for _, r := range done {
-		if err := e.ad.release(r.ID); err != nil {
-			return res, err
-		}
-		e.outstanding -= r.Decode - e.grown[r.ID] // T_max truncation leaves a remainder
-		delete(e.grown, r.ID)
+	done, err := e.retire()
+	if err != nil {
+		return res, err
 	}
 	res.Completed = done
 	if len(res.Generated) == 0 && len(done) == 0 && len(res.Preempted) == 0 {
@@ -412,6 +371,58 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 			s.cfg.Name, len(batch))
 	}
 	return res, nil
+}
+
+// snapshot copies the active batch (preemption and retirement mutate the
+// active slice) together with each member's current KV length in batch
+// order, both into scratch that lives until the next Step/Leap call.
+func (e *Engine) snapshot() ([]workload.Request, []int) {
+	batch := append(e.batchScratch[:0], e.ad.active...)
+	toks := e.tokScratch[:0]
+	for _, r := range batch {
+		toks = append(toks, r.Context+e.grown[r.ID])
+	}
+	e.batchScratch, e.tokScratch = batch, toks
+	return batch, toks
+}
+
+// price prices and accounts one decode iteration of the snapshot and
+// returns its duration at the engine's time scale.
+func (e *Engine) price(ctx context.Context, batch []workload.Request, toks []int) (float64, error) {
+	cost, err := e.sys.iterate(ctx, &e.meter, batch, toks)
+	if err != nil {
+		return 0, err
+	}
+	e.steps++
+	sec := cost.Seconds
+	if e.timeScale != 1 {
+		sec *= e.timeScale
+	}
+	return sec, nil
+}
+
+// retire releases the active requests that finished — generation length
+// reached, or KV cache at the context window (truncated generation;
+// without this, a static-allocation request with Context+Decode > T_max
+// would freeze forever and stall the batch) — and returns them in
+// admission order. After an iteration the active slice is the batch
+// snapshot minus this step's evictions, in the same order. (Collect
+// first: release mutates the active slice.)
+func (e *Engine) retire() ([]workload.Request, error) {
+	var done []workload.Request
+	for _, r := range e.ad.active {
+		if e.grown[r.ID] >= r.Decode || r.Context+e.grown[r.ID] >= e.sys.tmax() {
+			done = append(done, r)
+		}
+	}
+	for _, r := range done {
+		if err := e.ad.release(r.ID); err != nil {
+			return nil, err
+		}
+		e.outstanding -= r.Decode - e.grown[r.ID] // T_max truncation leaves a remainder
+		delete(e.grown, r.ID)
+	}
+	return done, nil
 }
 
 // Leap advances the engine exactly as repeated Step calls would, but
@@ -490,71 +501,17 @@ func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (St
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	batch := append(e.batchScratch[:0], e.ad.active...)
-	e.batchScratch = batch
+	// The token slice is the leap's whole per-iteration state: each
+	// advance is a slice increment instead of per-request map traffic.
+	batch, toks := e.snapshot()
 	res.Batch = len(batch)
 	e.sampleCapacity()
-	// Materialize token counts once; the per-iteration advance is a
-	// slice increment instead of per-request map traffic.
-	toks := e.tokScratch[:0]
-	for _, r := range batch {
-		toks = append(toks, r.Context+e.grown[r.ID])
-	}
-	e.tokScratch = toks
-	// tokensOf runs once per request per priced iteration — the hottest
-	// lookup of the whole leap. Active IDs form a tight window (requests
-	// are admitted in arrival order), so index them by offset from the
-	// batch minimum in a dense slice; the map is only a fallback for a
-	// pathologically sparse ID set.
-	var tokensOf backend.TokensOf
-	if len(batch) > 0 {
-		minID, maxID := batch[0].ID, batch[0].ID
-		for _, r := range batch[1:] {
-			if r.ID < minID {
-				minID = r.ID
-			}
-			if r.ID > maxID {
-				maxID = r.ID
-			}
-		}
-		if span := maxID - minID + 1; span <= 4*len(batch)+64 {
-			if cap(e.posDense) < span {
-				e.posDense = make([]int32, span)
-			}
-			dense := e.posDense[:span]
-			for i, r := range batch {
-				dense[r.ID-minID] = int32(i)
-			}
-			tokensOf = func(r workload.Request) int { return toks[dense[r.ID-minID]] }
-		}
-	}
-	if tokensOf == nil {
-		if e.posScratch == nil {
-			e.posScratch = make(map[int]int, len(batch))
-		}
-		clear(e.posScratch)
-		for i, r := range batch {
-			e.posScratch[r.ID] = i
-		}
-		pos := e.posScratch
-		tokensOf = func(r workload.Request) int { return toks[pos[r.ID]] }
-	}
 	pending := len(e.ad.pending) > 0
 	res.IterSeconds = e.secScratch[:0]
 	for i := 0; i < n && (i == 0 || now < until); i++ {
-		cost, err := s.iterateToks(ctx, batch, toks, tokensOf)
+		sec, err := e.price(ctx, batch, toks)
 		if err != nil {
 			return res, err
-		}
-		e.busy += cost.Stats.Busy
-		e.span += cost.Stats.Cycles
-		e.channels = cost.Stats.Channels
-		ae, fe := s.be.IterEnergy(s.env, cost, len(batch))
-		e.attnE.Add(ae)
-		e.fcE.Add(fe)
-		sec := cost.Seconds
-		if e.timeScale != 1 {
-			sec *= e.timeScale
 		}
 		res.IterSeconds = append(res.IterSeconds, sec)
 		res.Seconds += sec
@@ -562,7 +519,6 @@ func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (St
 		if pending {
 			e.blockedSec += sec
 		}
-		e.steps++
 		e.generated += len(batch)
 		e.outstanding -= len(batch)
 		now += sec
@@ -584,22 +540,12 @@ func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (St
 	}
 	e.genScratch = res.Generated
 	e.sampleCapacity()
-	// Retire finished requests, exactly as Step does. (A leap usually
-	// ends on a completion or truncation boundary, but an allocation or
-	// bucket horizon — or the until clamp — can end it with everyone
-	// still decoding.)
-	var done []workload.Request
-	for _, r := range batch {
-		if e.grown[r.ID] >= r.Decode || r.Context+e.grown[r.ID] >= s.tmax() {
-			done = append(done, r)
-		}
-	}
-	for _, r := range done {
-		if err := e.ad.release(r.ID); err != nil {
-			return res, err
-		}
-		e.outstanding -= r.Decode - e.grown[r.ID] // T_max truncation leaves a remainder
-		delete(e.grown, r.ID)
+	// Retire exactly as Step does. (A leap usually ends on a completion
+	// or truncation boundary, but an allocation or bucket horizon — or
+	// the until clamp — can end it with everyone still decoding.)
+	done, err := e.retire()
+	if err != nil {
+		return res, err
 	}
 	res.Completed = done
 	return res, nil
@@ -625,7 +571,7 @@ func (e *Engine) SetHorizon(n int) {
 // Energy returns the attention and FC energy accrued across every
 // iteration so far, on the backend's energy model (zero breakdowns for
 // backends outside it, e.g. the GPU baseline).
-func (e *Engine) Energy() (attn, fc energy.Breakdown) { return e.attnE, e.fcE }
+func (e *Engine) Energy() (attn, fc energy.Breakdown) { return e.meter.attnE, e.meter.fcE }
 
 // Progress is the number of tokens a request has generated so far
 // (zero for unknown IDs). It persists across preemption — the tokens
@@ -645,11 +591,7 @@ func (e *Engine) FreeKVBytes() int64 {
 // fleet scheduler can check a destination replica before handing work
 // to it. MaxBatch and queue order still apply at actual admission.
 func (e *Engine) HasHeadroom(r workload.Request) bool {
-	need := r.Context + r.Decode
-	if t := e.sys.tmax(); need > t {
-		need = t
-	}
-	return e.ad.alloc.CanAdmit(need)
+	return e.ad.alloc.CanAdmit(e.ad.horizon(r))
 }
 
 // EnqueueResumed enqueues a request that has already generated gen

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"pimphony/internal/memory"
 	"pimphony/internal/model"
 	"pimphony/internal/timing"
 	"pimphony/internal/workload"
@@ -257,7 +259,7 @@ func TestEngineRejectsOversized(t *testing.T) {
 // batch simulator: serving one request is priced by the same iteration
 // model, so total time over its decode length must match a Run of the
 // same request with ContinuousBatching (which retires it at the same
-// point).
+// point), and so must its energy.
 func TestEngineMatchesRunThroughput(t *testing.T) {
 	cfg := engineConfig(t, PIMphony())
 	cfg.ContinuousBatching = true
@@ -290,6 +292,71 @@ func TestEngineMatchesRunThroughput(t *testing.T) {
 	}
 	if diff := e.BusySeconds() - rep.TotalSeconds; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("engine time %g vs Run time %g", e.BusySeconds(), rep.TotalSeconds)
+	}
+	// Run prices each iteration's energy at the batch it priced, so the
+	// final iteration of a drain counts even though it empties the batch.
+	attn, fc := e.Energy()
+	if rep.AttnEnergy != attn || rep.FCEnergy != fc {
+		t.Errorf("Run energy attn %g fc %g, engine attn %g fc %g",
+			rep.AttnEnergy.Total(), rep.FCEnergy.Total(), attn.Total(), fc.Total())
+	}
+}
+
+// growLog records every Grow target on top of a real allocator.
+type growLog struct {
+	memory.Allocator
+	targets []int
+}
+
+func (g *growLog) Grow(reqID, tokens int) error {
+	g.targets = append(g.targets, tokens)
+	return g.Allocator.Grow(reqID, tokens)
+}
+
+// TestGrowthTargets pins each step loop's growth target after a token:
+// RunCtx grows to the live count plus one token of headroom, Engine.Step
+// to the exact live count.
+func TestGrowthTargets(t *testing.T) {
+	cfg := engineConfig(t, PIMphony())
+	cfg.DecodeWindow = 3
+	req := workload.Request{ID: 0, Context: 8192, Decode: 3}
+	cases := []struct {
+		name string
+		run  func(*System) error
+		want []int
+	}{
+		{"RunCtx", func(s *System) error {
+			_, err := s.Run([]workload.Request{req})
+			return err
+		}, []int{8194, 8195, 8196}},
+		{"Engine.Step", func(s *System) error {
+			e, err := s.NewEngine()
+			if err == nil {
+				err = e.Enqueue(req)
+			}
+			if err == nil {
+				drain(t, e)
+			}
+			return err
+		}, []int{8193, 8194, 8195}},
+	}
+	for _, c := range cases {
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &growLog{}
+		sys.adm.NewAllocator = func(pool, bytesPerToken int64, _ int) (memory.Allocator, error) {
+			a, err := memory.NewDPA(pool, bytesPerToken, memory.DefaultChunkBytes)
+			log.Allocator = a
+			return log, err
+		}
+		if err := c.run(sys); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(log.targets, c.want) {
+			t.Errorf("%s grew to %v, want %v", c.name, log.targets, c.want)
+		}
 	}
 }
 

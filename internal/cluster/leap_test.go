@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pimphony/internal/backend"
 	"pimphony/internal/model"
 	"pimphony/internal/timing"
 	"pimphony/internal/workload"
@@ -206,6 +207,18 @@ func TestLeapRespectsUntil(t *testing.T) {
 	}
 }
 
+// oneShotStepper prices every iteration through a freshly built stepper,
+// so no priced shape outlives its iteration: the pre-memoization pricing
+// path, as Backend.Step runs it.
+type oneShotStepper struct {
+	inc backend.Incremental
+	env *backend.Env
+}
+
+func (o oneShotStepper) StepSlice(ctx context.Context, batch []workload.Request, toks []int) (backend.StepCost, error) {
+	return o.inc.NewStepper(o.env).(backend.SliceStepper).StepSlice(ctx, batch, toks)
+}
+
 // TestLeapReducesCacheLookups asserts the step-cost memoization's
 // headline: a serving drain through the memoizing stepper consults the
 // perfmodel cache at least 2x less than the pre-memoization path (which
@@ -217,7 +230,7 @@ func TestLeapReducesCacheLookups(t *testing.T) {
 	lookupsOf := func(strip bool, leap bool) int64 {
 		e := engineFor(t, cfg, reqs)
 		if strip {
-			e.sys.stepper = nil // the pre-memoization pricing path
+			e.sys.stepper = oneShotStepper{inc: e.sys.be.(backend.Incremental), env: e.sys.env}
 		}
 		before := e.sys.env.Perf.CacheLookups()
 		drainTrace(t, e, leap)
