@@ -64,10 +64,14 @@ race-serve:
 # arrival-mix, fleet-shape) tuples must keep every synchronization
 # discipline byte-identical and every DES invariant intact. Then 10
 # seconds over the DPA allocator: random operation sequences must hand
-# out the same chunks as the materialized free-list reference.
+# out the same chunks as the materialized free-list reference. Then 10
+# seconds over the periodic kernel programs: random shapes, buffer
+# geometries and controllers must expand to the oracle builders' stacks
+# and schedule to the flat stacks' exact results.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDESSchedule -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzDPA -fuzztime 10s ./internal/memory/
+	$(GO) test -run '^$$' -fuzz FuzzProgramSchedule -fuzztime 10s ./internal/kernels/
 
 # Render the fleet study on the full grids: homogeneous PIM-only and
 # GPU fleets vs the disaggregated xPU-prefill/PIM-decode split at an

@@ -85,13 +85,13 @@ func main() {
 	fmt.Println("Fig. 7 — (1x48)*(48x32) GEMV: 3 WR-INP, 6 MAC, 2 RD-OUT")
 	fmt.Println(strings.Repeat("=", 60))
 
-	st, err := (&sched.Static{Dev: dev}).Schedule(fig7Stack())
+	st, err := (&sched.Static{Dev: dev}).Schedule(fig7Stack().Program())
 	if err != nil {
 		log.Fatal(err)
 	}
 	render("static controller (paper: 34 cycles)", fig7Stack(), st)
 
-	dc, err := (&sched.DCS{Dev: dev}).Schedule(fig7Stack())
+	dc, err := (&sched.DCS{Dev: dev}).Schedule(fig7Stack().Program())
 	if err != nil {
 		log.Fatal(err)
 	}

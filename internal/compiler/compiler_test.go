@@ -122,7 +122,7 @@ func TestLoweredQKTMatchesKernelBuilder(t *testing.T) {
 		}
 		// Kernel builder: per-channel slice of tokens/channels.
 		kc := kernels.NewConfig(dev, kernels.OBufBuffers(dev))
-		stack := new(pim.Stack)
+		stack := new(pim.Program)
 		if err := kc.QKT(stack, tokens/dev.Channels, 128, 1, false); err != nil {
 			t.Fatal(err)
 		}

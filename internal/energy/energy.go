@@ -77,11 +77,11 @@ func (b Breakdown) BackgroundShare() float64 {
 	return b.Background / t
 }
 
-// ForStack computes the energy of executing one command stack on one
+// ForProgram computes the energy of executing one command program on one
 // channel given its schedule. Dynamic energy follows command counts;
 // background energy follows the schedule's wall-clock.
-func (m Model) ForStack(dev timing.Device, s *pim.Stack, res *sched.Result) Breakdown {
-	counts := s.Counts()
+func (m Model) ForProgram(dev timing.Device, p *pim.Program, res *sched.Result) Breakdown {
+	counts := p.Counts()
 	nMAC := float64(counts[pim.MAC])
 	nIO := float64(counts[pim.WRINP] + counts[pim.RDOUT])
 	nAct := float64(counts[pim.ACT])

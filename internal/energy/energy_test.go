@@ -35,7 +35,7 @@ func TestBackgroundShareCollapsesWithDCS(t *testing.T) {
 	dev := timing.AiM16()
 	m := Default()
 	cfg := kernels.NewConfig(dev, kernels.BaselineBuffers(dev))
-	stack := new(pim.Stack)
+	stack := new(pim.Program)
 	if err := cfg.SV(stack, 4096, 128, 1, false); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestBackgroundShareCollapsesWithDCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg2 := kernels.NewConfig(dev, kernels.OBufBuffers(dev))
-	stack2 := new(pim.Stack)
+	stack2 := new(pim.Program)
 	if err := cfg2.SV(stack2, 4096, 128, 1, false); err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +52,8 @@ func TestBackgroundShareCollapsesWithDCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eStatic := m.ForStack(dev, stack, st)
-	eDCS := m.ForStack(dev, stack2, dc)
+	eStatic := m.ForProgram(dev, stack, st)
+	eDCS := m.ForProgram(dev, stack2, dc)
 	if eDCS.BackgroundShare() >= eStatic.BackgroundShare() {
 		t.Errorf("background share should collapse: static %.2f dcs %.2f",
 			eStatic.BackgroundShare(), eDCS.BackgroundShare())

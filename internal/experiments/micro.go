@@ -57,7 +57,7 @@ func Fig7DCSExample() (*Result, error) {
 		func() sched.Scheduler { return &sched.DCS{Dev: dev} },
 	}, func(_ context.Context, mk func() sched.Scheduler) ([]any, error) {
 		sc := mk()
-		res, err := sc.Schedule(build())
+		res, err := sc.Schedule(build().Program())
 		if err != nil {
 			return nil, err
 		}
@@ -269,15 +269,15 @@ func AblationOBufDepth() (*Result, error) {
 	rows, err := sweep.Rows(context.Background(), []int{2, 4, 8, 16, 32},
 		func(_ context.Context, entries int) ([]any, error) {
 			cfg := kernels.NewConfig(dev, kernels.Buffers{GBufEntries: dev.GBufEntries(), OutEntries: entries})
-			stack := new(pim.Stack)
-			if err := cfg.SV(stack, 4096, 128, 1, false); err != nil {
+			prog := new(pim.Program)
+			if err := cfg.SV(prog, 4096, 128, 1, false); err != nil {
 				return nil, err
 			}
-			res, err := (&sched.DCS{Dev: dev}).Schedule(stack)
+			res, err := (&sched.DCS{Dev: dev}).Schedule(prog)
 			if err != nil {
 				return nil, err
 			}
-			st := kernels.StackStats(stack)
+			st := kernels.StackStats(prog)
 			return []any{entries, int64(res.Total), st.WrInp, st.RdOut}, nil
 		})
 	if err != nil {

@@ -19,19 +19,19 @@ func cfg(t *testing.T, baseline bool) Config {
 	return NewConfig(d, OBufBuffers(d))
 }
 
-// gemv, qkt and sv run a builder into a fresh stack.
-func gemv(c Config, din, dout int) (*pim.Stack, error) {
-	s := new(pim.Stack)
+// gemv, qkt and sv run a builder into a fresh program.
+func gemv(c Config, din, dout int) (*pim.Program, error) {
+	s := new(pim.Program)
 	return s, c.GEMV(s, din, dout)
 }
 
-func qkt(c Config, tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) {
-	s := new(pim.Stack)
+func qkt(c Config, tokens, dh, queries int, rowReuse bool) (*pim.Program, error) {
+	s := new(pim.Program)
 	return s, c.QKT(s, tokens, dh, queries, rowReuse)
 }
 
-func sv(c Config, tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) {
-	s := new(pim.Stack)
+func sv(c Config, tokens, dh, queries int, rowReuse bool) (*pim.Program, error) {
+	s := new(pim.Program)
 	return s, c.SV(s, tokens, dh, queries, rowReuse)
 }
 
@@ -253,11 +253,11 @@ func TestDCSBeatsStaticOnAttention(t *testing.T) {
 	c := NewConfig(d, OBufBuffers(d))
 	for _, build := range []struct {
 		name string
-		f    func() (*pim.Stack, error)
+		f    func() (*pim.Program, error)
 	}{
-		{"qkt", func() (*pim.Stack, error) { return qkt(c, 2048, 128, 4, true) }},
-		{"sv", func() (*pim.Stack, error) { return sv(c, 2048, 128, 4, true) }},
-		{"gemv", func() (*pim.Stack, error) { return gemv(c, 4096, 4096) }},
+		{"qkt", func() (*pim.Program, error) { return qkt(c, 2048, 128, 4, true) }},
+		{"sv", func() (*pim.Program, error) { return sv(c, 2048, 128, 4, true) }},
+		{"gemv", func() (*pim.Program, error) { return gemv(c, 4096, 4096) }},
 	} {
 		s1, err := build.f()
 		if err != nil {
@@ -284,11 +284,11 @@ func TestDCSBeatsStaticOnAttention(t *testing.T) {
 
 func TestStacksValidate(t *testing.T) {
 	c := cfg(t, true)
-	builders := map[string]func() (*pim.Stack, error){
-		"gemv-small": func() (*pim.Stack, error) { return gemv(c, 48, 32) },
-		"gemv-odd":   func() (*pim.Stack, error) { return gemv(c, 100, 100) },
-		"qkt-odd":    func() (*pim.Stack, error) { return qkt(c, 1000, 100, 3, true) },
-		"sv-odd":     func() (*pim.Stack, error) { return sv(c, 1000, 100, 3, false) },
+	builders := map[string]func() (*pim.Program, error){
+		"gemv-small": func() (*pim.Program, error) { return gemv(c, 48, 32) },
+		"gemv-odd":   func() (*pim.Program, error) { return gemv(c, 100, 100) },
+		"qkt-odd":    func() (*pim.Program, error) { return qkt(c, 1000, 100, 3, true) },
+		"sv-odd":     func() (*pim.Program, error) { return sv(c, 1000, 100, 3, false) },
 	}
 	for name, b := range builders {
 		s, err := b()
@@ -314,21 +314,21 @@ func TestBaselineBufferGeometry(t *testing.T) {
 	}
 }
 
-// TestBuildersRefillReusedStack: a builder resets the stack it is given, so
-// a stack that held a larger program (and a different geometry) yields
-// exactly the commands a fresh stack does.
+// TestBuildersRefillReusedStack: a builder resets the program it is given,
+// so a program that held a larger kernel (and a different geometry) yields
+// exactly the commands a fresh program does.
 func TestBuildersRefillReusedStack(t *testing.T) {
 	base, obuf := cfg(t, true), cfg(t, false)
 	builds := []struct {
 		name string
-		f    func(*pim.Stack) error
+		f    func(*pim.Program) error
 	}{
-		{"gemv-small", func(s *pim.Stack) error { return base.GEMV(s, 48, 32) }},
-		{"qkt-gqa", func(s *pim.Stack) error { return obuf.QKT(s, 1000, 100, 3, true) }},
-		{"sv-reuse", func(s *pim.Stack) error { return base.SV(s, 1000, 100, 3, true) }},
-		{"sv-odd", func(s *pim.Stack) error { return obuf.SV(s, 1000, 100, 3, false) }},
+		{"gemv-small", func(s *pim.Program) error { return base.GEMV(s, 48, 32) }},
+		{"qkt-gqa", func(s *pim.Program) error { return obuf.QKT(s, 1000, 100, 3, true) }},
+		{"sv-reuse", func(s *pim.Program) error { return base.SV(s, 1000, 100, 3, true) }},
+		{"sv-odd", func(s *pim.Program) error { return obuf.SV(s, 1000, 100, 3, false) }},
 	}
-	reused := new(pim.Stack)
+	reused := new(pim.Program)
 	for _, b := range builds {
 		if err := obuf.QKT(reused, 16384, 128, 4, false); err != nil {
 			t.Fatal(err)
@@ -336,11 +336,11 @@ func TestBuildersRefillReusedStack(t *testing.T) {
 		if err := b.f(reused); err != nil {
 			t.Fatalf("%s into reused stack: %v", b.name, err)
 		}
-		fresh := new(pim.Stack)
+		fresh := new(pim.Program)
 		if err := b.f(fresh); err != nil {
 			t.Fatalf("%s: %v", b.name, err)
 		}
-		if !reflect.DeepEqual(reused, fresh) {
+		if !reflect.DeepEqual(reused.Expand(), fresh.Expand()) {
 			t.Errorf("%s: reused stack (%d cmds, %d/%d entries) differs from fresh (%d cmds, %d/%d entries)",
 				b.name, reused.Len(), reused.GBufEntries, reused.OutEntries,
 				fresh.Len(), fresh.GBufEntries, fresh.OutEntries)

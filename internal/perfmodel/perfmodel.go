@@ -1,13 +1,21 @@
 // Package perfmodel turns kernel shapes into channel latencies: it builds
-// the command stack for a kernel (internal/kernels), schedules it under the
-// selected controller (internal/sched) and memoizes the result.
+// the periodic command program for a kernel (internal/kernels), schedules
+// it under the selected controller (internal/sched) and memoizes the
+// result.
 //
-// Long-context sweeps query millions of nearly identical shapes (token
-// counts grow by one per decode step), so token counts are quantized to 32
-// logarithmically spaced buckets per octave and the simulated latency is
-// scaled linearly to the exact token count; attention kernels are linear in
-// tokens beyond the fixed query-setup work, keeping the error well under
-// the run-to-run noise of the modelled hardware.
+// What is exact: a cold simulation. The builders fold each attention
+// loop's steady state into a repeated body and the controllers skip whole
+// periods once their state repeats, and both steps reproduce the
+// command-by-command simulation's cycles, breakdown and counts exactly,
+// in time proportional to the kernel's period rather than its length.
+//
+// What is approximate: the token count a simulation is run for. Long-
+// context sweeps query millions of nearly identical shapes (token counts
+// grow by one per decode step), so attention token counts are quantized
+// to 32 logarithmically spaced buckets per octave, capped at
+// maxAttnSimTokens, and the simulated latency is scaled linearly to the
+// exact token count. Attention kernels are linear in tokens beyond the
+// fixed query-setup work, which keeps that error small.
 package perfmodel
 
 import (
@@ -116,6 +124,10 @@ type Service struct {
 	// the pre-memoization step loop consulted the cache once per
 	// (channel, kernel) work unit per decode iteration.
 	lookups atomic.Int64
+	// scheduled counts the commands the scheduling engine issued one by
+	// one on misses: the cycle-level simulation's work, which the period
+	// skip keeps far below the commands the misses' programs expand to.
+	scheduled atomic.Int64
 }
 
 // New creates a latency service.
@@ -157,6 +169,10 @@ func (s *Service) CacheMisses() int {
 // and misses alike).
 func (s *Service) CacheLookups() int64 { return s.lookups.Load() }
 
+// CommandsScheduled reports how many commands the scheduling engine
+// issued one by one across all misses (skipped periods excluded).
+func (s *Service) CommandsScheduled() int64 { return s.scheduled.Load() }
+
 // quantize rounds tokens up so at most 32 buckets exist per octave, bounding
 // both cache size and scaling error (< ~3%).
 func quantize(tokens int) int {
@@ -170,10 +186,14 @@ func quantize(tokens int) int {
 	return (tokens + step - 1) / step * step
 }
 
-// maxAttnSimTokens caps the per-channel token count that is simulated
-// command-by-command; longer slices are priced at the cap and scaled
-// linearly. Attention command streams are strictly periodic beyond a few
-// rows, so the extrapolation is exact up to the fixed setup work.
+// maxAttnSimTokens caps the per-channel token count that is simulated;
+// longer slices are priced at the cap and scaled linearly, as are counts
+// inside a quantization bucket. The simulation itself is exact at any
+// length (the period skip makes its cost independent of the length past
+// a few periods), so the cap and the bucket rescale are now the model's
+// only approximation of a shape's latency: linear scaling ignores the
+// fixed setup and tail work, and float truncation moves results by a
+// cycle or so.
 const maxAttnSimTokens = 1 << 16
 
 // Bucket returns the quantization bucket an attention token count is
@@ -266,11 +286,11 @@ func scale(l Latency, f float64) Latency {
 	}
 }
 
-// stackPool holds the command stacks cold simulations build into. Price
-// runs on parallel sweep workers, so each simulation takes its own stack
-// for the duration of the call; a warm stack already has the capacity of
-// the largest program it held and builds without growing.
-var stackPool = sync.Pool{New: func() any { return new(pim.Stack) }}
+// programPool holds the command programs cold simulations build into.
+// Price runs on parallel sweep workers, so each simulation takes its own
+// program for the duration of the call; a warm program already has the
+// capacity of the largest prologue it held.
+var programPool = sync.Pool{New: func() any { return new(pim.Program) }}
 
 func (s *Service) simulate(q Query) (Latency, error) {
 	var buf kernels.Buffers
@@ -280,16 +300,16 @@ func (s *Service) simulate(q Query) (Latency, error) {
 		buf = kernels.OBufBuffers(s.dev)
 	}
 	kc := kernels.NewConfig(s.dev, buf)
-	stack := stackPool.Get().(*pim.Stack)
-	defer stackPool.Put(stack)
+	prog := programPool.Get().(*pim.Program)
+	defer programPool.Put(prog)
 	var err error
 	switch q.Kernel {
 	case QKT:
-		err = kc.QKT(stack, q.Tokens, q.Dh, q.Queries, q.RowReuse)
+		err = kc.QKT(prog, q.Tokens, q.Dh, q.Queries, q.RowReuse)
 	case SV:
-		err = kc.SV(stack, q.Tokens, q.Dh, q.Queries, q.RowReuse)
+		err = kc.SV(prog, q.Tokens, q.Dh, q.Queries, q.RowReuse)
 	case GEMV:
-		err = kc.GEMV(stack, q.Tokens, q.Dh)
+		err = kc.GEMV(prog, q.Tokens, q.Dh)
 	default:
 		return Latency{}, fmt.Errorf("perfmodel: unknown kernel %d", q.Kernel)
 	}
@@ -309,11 +329,12 @@ func (s *Service) simulate(q Query) (Latency, error) {
 	default:
 		return Latency{}, fmt.Errorf("perfmodel: unknown scheduler %d", q.Sched)
 	}
-	res, err := scheduler.Schedule(stack)
+	res, err := scheduler.Schedule(prog)
 	if err != nil {
 		return Latency{}, err
 	}
-	st := kernels.StackStats(stack)
+	s.scheduled.Add(int64(res.Scheduled))
+	st := kernels.StackStats(prog)
 	return Latency{
 		Cycles:    res.Total,
 		Breakdown: res.Breakdown,

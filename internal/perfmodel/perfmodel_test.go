@@ -287,10 +287,10 @@ func TestConcurrentPricingMatchesSerial(t *testing.T) {
 }
 
 // TestColdPricingAllocations pins the allocation-free miss path: once the
-// pooled stack and scheduler scratch are warm, a cold 64K-token SV pricing
-// on a fresh Service allocates a fixed handful of objects (the Service and
-// its cache, the builder's key tables, the sched.Result), not a number that
-// grows with the stack's ~70K commands.
+// pooled program, builder and scheduler scratch are warm, a cold 64K-token
+// SV pricing on a fresh Service allocates a fixed handful of objects (the
+// Service and its cache, the validator's state, the sched.Result), not a
+// number that grows with the program's ~38K expanded commands.
 func TestColdPricingAllocations(t *testing.T) {
 	q := Query{Kernel: SV, Tokens: 65536, Dh: 128, Queries: 1, Sched: DCS}
 	var err error
@@ -306,4 +306,31 @@ func TestColdPricingAllocations(t *testing.T) {
 		t.Errorf("cold 64K-token SV pricing averaged %.0f allocations, want < 100", allocs)
 	}
 	t.Logf("cold 64K-token SV pricing: %.0f allocations", allocs)
+}
+
+// TestCommandsScheduledPinned pins the cycle-level simulation's exact
+// work for pricingSet: the commands the scheduling engine issues one by
+// one across its cold misses. Cache hits add nothing. The count is
+// machine-independent, so any change to the builders' period folding or
+// the scheduler's period skip shows here first.
+func TestCommandsScheduledPinned(t *testing.T) {
+	const want = 62742 // of the 168,800 commands the programs expand to
+	s := New(timing.AiM16())
+	for _, q := range pricingSet() {
+		if _, err := s.Price(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := s.CommandsScheduled()
+	for _, q := range pricingSet() {
+		if _, err := s.Price(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if again := s.CommandsScheduled(); again != got {
+		t.Errorf("cache hits scheduled %d more commands", again-got)
+	}
+	if got != want {
+		t.Errorf("CommandsScheduled = %d for pricingSet, pinned %d", got, want)
+	}
 }

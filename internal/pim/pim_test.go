@@ -2,6 +2,7 @@ package pim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -128,10 +129,10 @@ func TestRowProtocol(t *testing.T) {
 
 func TestByteAccounting(t *testing.T) {
 	s := fig7Stack()
-	if got := s.IOBytes(32); got != int64(5*32) {
+	if got := s.Program().IOBytes(32); got != int64(5*32) {
 		t.Fatalf("IOBytes = %d, want %d", got, 5*32)
 	}
-	if got := s.DRAMBytes(32, 16); got != int64(6*32*16) {
+	if got := s.Program().DRAMBytes(32, 16); got != int64(6*32*16) {
 		t.Fatalf("DRAMBytes = %d, want %d", got, 6*32*16)
 	}
 }
@@ -182,5 +183,82 @@ func TestRandomWellFormedStacksValidate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProgramValidateNamedErrors: a malformed program is an error that
+// names the offending segment, never a panic.
+func TestProgramValidateNamedErrors(t *testing.T) {
+	body := func(cmds ...Command) []Command {
+		for i := range cmds {
+			cmds[i].ID = i
+		}
+		return cmds
+	}
+	cases := []struct {
+		name string
+		segs []Segment
+		want string
+	}{
+		{"negative repeat", []Segment{
+			{Cmds: body(wrInp(0)), Repeat: 1},
+			{Cmds: body(mac(0, 0, 0, 0)), Repeat: -2},
+		}, "segment 1 has negative repeat -2"},
+		{"empty repeated body", []Segment{
+			{Cmds: body(wrInp(0)), Repeat: 1},
+			{Repeat: 3},
+		}, "segment 1 repeats an empty body"},
+		{"no fixed point", []Segment{
+			{Cmds: body(act(5), wrInp(0)), Repeat: 1},
+			{Cmds: body(wrInp(1)), Repeat: 4, RowShift: 1},
+			{Cmds: body(mac(0, 0, 5, 0), rdOut(0), pre(5)), Repeat: 1},
+		}, "segment 1: repeated body does not reach a fixed point"},
+	}
+	for _, c := range cases {
+		p := &Program{Segs: c.segs, GBufEntries: 4, OutEntries: 4}
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestProgramExpandAndFold: folding emitted commands into a repeated body
+// expands back to the commands it stands for, rows shifted per repeat,
+// and the fixed-point check accepts the body.
+func TestProgramExpandAndFold(t *testing.T) {
+	p := new(Program)
+	p.Reset(4, 4)
+	p.WrInp(0)
+	mark := p.Tail()
+	p.Act(0)
+	p.Mac(0, 0, 0, 0)
+	p.RdOut(0)
+	p.Pre(0)
+	p.Fold(mark, 3, 1)
+	p.WrInp(1)
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := NewStack(4, 4)
+	want.WrInp(0)
+	for r := 0; r < 3; r++ {
+		want.Act(r)
+		want.Mac(0, 0, r, 0)
+		want.RdOut(0)
+		want.Pre(r)
+	}
+	want.WrInp(1)
+	got := p.Expand()
+	if len(got.Cmds) != len(want.Cmds) || p.Len() != len(want.Cmds) {
+		t.Fatalf("expanded %d (Len %d) commands, want %d", len(got.Cmds), p.Len(), len(want.Cmds))
+	}
+	for i := range want.Cmds {
+		if got.Cmds[i] != want.Cmds[i] {
+			t.Fatalf("command %d = %+v, want %+v", i, got.Cmds[i], want.Cmds[i])
+		}
+	}
+	if p.Counts() != want.Counts() || p.Flat() {
+		t.Fatalf("counts %v flat %v, want %v and not flat", p.Counts(), p.Flat(), want.Counts())
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -40,14 +41,14 @@ func fig7Stack() *pim.Stack {
 // 34 cycles under the static controller, 22 cycles under DCS.
 func TestFig7Calibration(t *testing.T) {
 	d := devNoRefresh()
-	st, err := (&Static{Dev: d}).Schedule(fig7Stack())
+	st, err := (&Static{Dev: d}).Schedule(fig7Stack().Program())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Total != 34 {
 		t.Errorf("static Fig.7 total = %d cycles, want 34 (paper)", st.Total)
 	}
-	dc, err := (&DCS{Dev: d}).Schedule(fig7Stack())
+	dc, err := (&DCS{Dev: d}).Schedule(fig7Stack().Program())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestFig7Calibration(t *testing.T) {
 
 func TestFig7StaticIssueTimes(t *testing.T) {
 	d := devNoRefresh()
-	res, err := (&Static{Dev: d}).Schedule(fig7Stack())
+	res, err := (&Static{Dev: d}).Schedule(fig7Stack().Program())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestFig7StaticIssueTimes(t *testing.T) {
 func TestBreakdownSumsToTotal(t *testing.T) {
 	d := timing.AiM16()
 	for _, s := range []Scheduler{&Static{Dev: d}, &PingPong{Dev: d}, &DCS{Dev: d}, &DCS{Dev: d, DisableIsMAC: true}} {
-		res, err := s.Schedule(fig7Stack())
+		res, err := s.Schedule(fig7Stack().Program())
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -91,11 +92,11 @@ func TestDCSNeverSlowerThanStatic(t *testing.T) {
 		"rows":      rowStack(4, 8),
 	}
 	for name, stack := range stacks {
-		st, err := (&Static{Dev: d}).Schedule(stack)
+		st, err := (&Static{Dev: d}).Schedule(stack.Program())
 		if err != nil {
 			t.Fatalf("%s static: %v", name, err)
 		}
-		dc, err := (&DCS{Dev: d}).Schedule(cloneStack(stack))
+		dc, err := (&DCS{Dev: d}).Schedule(cloneStack(stack).Program())
 		if err != nil {
 			t.Fatalf("%s dcs: %v", name, err)
 		}
@@ -108,11 +109,11 @@ func TestDCSNeverSlowerThanStatic(t *testing.T) {
 func TestIsMACBypassHelps(t *testing.T) {
 	d := timing.AiM16()
 	stack := fig7Stack()
-	with, err := (&DCS{Dev: d}).Schedule(stack)
+	with, err := (&DCS{Dev: d}).Schedule(stack.Program())
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := (&DCS{Dev: d, DisableIsMAC: true}).Schedule(cloneStack(stack))
+	without, err := (&DCS{Dev: d, DisableIsMAC: true}).Schedule(cloneStack(stack).Program())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +160,12 @@ func cloneStack(s *pim.Stack) *pim.Stack {
 func TestPingPongBetweenStaticAndDCS(t *testing.T) {
 	d := timing.AiM16()
 	stack := streamingStack(128, 16)
-	st, _ := (&Static{Dev: d}).Schedule(stack)
-	pp, err := (&PingPong{Dev: d}).Schedule(cloneStack(stack))
+	st, _ := (&Static{Dev: d}).Schedule(stack.Program())
+	pp, err := (&PingPong{Dev: d}).Schedule(cloneStack(stack).Program())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc, _ := (&DCS{Dev: d}).Schedule(cloneStack(stack))
+	dc, _ := (&DCS{Dev: d}).Schedule(cloneStack(stack).Program())
 	if !(dc.Total <= pp.Total && pp.Total <= st.Total) {
 		t.Errorf("expected dcs <= pingpong <= static, got dcs=%d pp=%d static=%d",
 			dc.Total, pp.Total, st.Total)
@@ -177,7 +178,7 @@ func TestPingPongBetweenStaticAndDCS(t *testing.T) {
 func TestRowCommandsGateMACs(t *testing.T) {
 	d := devNoRefresh()
 	stack := rowStack(2, 2)
-	res, err := (&DCS{Dev: d}).Schedule(stack)
+	res, err := (&DCS{Dev: d}).Schedule(stack.Program())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestDependencyOrderingInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		stack := randomStack(seed, 80)
 		for _, s := range schedulers {
-			res, err := s.Schedule(cloneStack(stack))
+			res, err := s.Schedule(cloneStack(stack).Program())
 			if err != nil {
 				return false
 			}
@@ -241,7 +242,7 @@ func TestDrainOrderingInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		stack := randomStack(seed, 80)
 		for _, s := range schedulers {
-			res, err := s.Schedule(cloneStack(stack))
+			res, err := s.Schedule(cloneStack(stack).Program())
 			if err != nil {
 				return false
 			}
@@ -320,7 +321,7 @@ func TestBreakdownSumsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		stack := randomStack(seed, 60)
 		for _, s := range schedulers {
-			res, err := s.Schedule(cloneStack(stack))
+			res, err := s.Schedule(cloneStack(stack).Program())
 			if err != nil {
 				return false
 			}
@@ -343,7 +344,7 @@ func TestEmptyIshStacks(t *testing.T) {
 	s := pim.NewStack(4, 4)
 	s.WrInp(0) // I/O-only stack
 	for _, sc := range []Scheduler{&Static{Dev: d}, &PingPong{Dev: d}, &DCS{Dev: d}} {
-		res, err := sc.Schedule(cloneStack(s))
+		res, err := sc.Schedule(cloneStack(s).Program())
 		if err != nil {
 			t.Fatalf("%s on IO-only stack: %v", sc.Name(), err)
 		}
@@ -361,7 +362,7 @@ func TestInvalidStackRejected(t *testing.T) {
 	bad := pim.NewStack(2, 2)
 	bad.Mac(0, 0, 0, 0) // read before write
 	for _, sc := range []Scheduler{&Static{Dev: d}, &PingPong{Dev: d}, &DCS{Dev: d}} {
-		if _, err := sc.Schedule(bad); err == nil {
+		if _, err := sc.Schedule(bad.Program()); err == nil {
 			t.Errorf("%s accepted an invalid stack", sc.Name())
 		}
 	}
@@ -382,5 +383,17 @@ func TestSchedulerNames(t *testing.T) {
 		(&DCS{Dev: d}).Name() != "dcs" ||
 		(&DCS{Dev: d, DisableIsMAC: true}).Name() != "dcs-no-ismac" {
 		t.Fatal("scheduler names changed; experiment tables key on them")
+	}
+}
+
+// TestMalformedProgramRejected: every controller returns Validate's
+// segment-naming error for a malformed program instead of panicking.
+func TestMalformedProgramRejected(t *testing.T) {
+	d := timing.AiM16()
+	p := &pim.Program{Segs: []pim.Segment{{Repeat: -1}}, GBufEntries: 2, OutEntries: 2}
+	for _, sc := range []Scheduler{&Static{Dev: d}, &PingPong{Dev: d}, &DCS{Dev: d}} {
+		if _, err := sc.Schedule(p); err == nil || !strings.Contains(err.Error(), "segment 0") {
+			t.Errorf("%s: Schedule = %v, want an error naming segment 0", sc.Name(), err)
+		}
 	}
 }

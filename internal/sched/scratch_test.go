@@ -10,17 +10,18 @@ import (
 )
 
 // largeStack builds a GQA row-reuse QK^T stack (tens of thousands of
-// commands with ACT/PRE, drains and re-streamed inputs): far larger than
-// the small stacks, so the scratch it leaves in the pool is oversized and
-// dirty for whatever is scheduled next.
+// commands with ACT/PRE, drains and re-streamed inputs), expanded flat so
+// every command is scheduled: far larger than the small stacks, so the
+// scratch it leaves in the pool is oversized and dirty for whatever is
+// scheduled next.
 func largeStack(t *testing.T) *pim.Stack {
 	t.Helper()
 	d := timing.AiM16()
-	s := new(pim.Stack)
-	if err := kernels.NewConfig(d, kernels.BaselineBuffers(d)).QKT(s, 8192, 128, 4, true); err != nil {
+	p := new(pim.Program)
+	if err := kernels.NewConfig(d, kernels.BaselineBuffers(d)).QKT(p, 8192, 128, 4, true); err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return p.Expand()
 }
 
 // TestScratchReuseIsInvisible: the engine's pooled scratch keeps no state
@@ -38,14 +39,14 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 	}
 	for _, sc := range []Scheduler{&Static{Dev: d}, &PingPong{Dev: d}, &DCS{Dev: d}, &DCS{Dev: d, DisableIsMAC: true}} {
 		for name, small := range smalls {
-			first, err := sc.Schedule(small)
+			first, err := sc.Schedule(small.Program())
 			if err != nil {
 				t.Fatalf("%s %s: %v", sc.Name(), name, err)
 			}
-			if _, err := sc.Schedule(large); err != nil {
+			if _, err := sc.Schedule(large.Program()); err != nil {
 				t.Fatalf("%s large: %v", sc.Name(), err)
 			}
-			again, err := sc.Schedule(small)
+			again, err := sc.Schedule(small.Program())
 			if err != nil {
 				t.Fatalf("%s %s again: %v", sc.Name(), name, err)
 			}
@@ -61,14 +62,14 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 // cycles DCS) holds after a large stack has gone through the pool.
 func TestFig7AfterLargeStack(t *testing.T) {
 	d := devNoRefresh()
-	if _, err := (&DCS{Dev: d}).Schedule(largeStack(t)); err != nil {
+	if _, err := (&DCS{Dev: d}).Schedule(largeStack(t).Program()); err != nil {
 		t.Fatal(err)
 	}
-	st, err := (&Static{Dev: d}).Schedule(fig7Stack())
+	st, err := (&Static{Dev: d}).Schedule(fig7Stack().Program())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc, err := (&DCS{Dev: d}).Schedule(fig7Stack())
+	dc, err := (&DCS{Dev: d}).Schedule(fig7Stack().Program())
 	if err != nil {
 		t.Fatal(err)
 	}
