@@ -67,11 +67,14 @@ race-serve:
 # out the same chunks as the materialized free-list reference. Then 10
 # seconds over the periodic kernel programs: random shapes, buffer
 # geometries and controllers must expand to the oracle builders' stacks
-# and schedule to the flat stacks' exact results.
+# and schedule to the flat stacks' exact results. Then 10 seconds over
+# the stepper's leap runs: every iteration of a run must price as the
+# per-iteration oracle does.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDESSchedule -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzDPA -fuzztime 10s ./internal/memory/
 	$(GO) test -run '^$$' -fuzz FuzzProgramSchedule -fuzztime 10s ./internal/kernels/
+	$(GO) test -run '^$$' -fuzz FuzzLeapRun -fuzztime 10s ./internal/backend/
 
 # Render the fleet study on the full grids: homogeneous PIM-only and
 # GPU fleets vs the disaggregated xPU-prefill/PIM-decode split at an

@@ -4,7 +4,9 @@
 // service, and fans PP micro-batches out through the sweep engine.
 // Production never runs it — every PIM backend prices through its
 // stepper — so it lives here, next to the tests that compare the two
-// bit for bit.
+// bit for bit. The per-iteration TCP stepper path the leap run replaced
+// (oracleStepSlice) lives here too, as the oracle FuzzLeapRun pins
+// every run iteration against.
 package backend
 
 import (
@@ -108,8 +110,8 @@ func (p pimShared) stageTime(env *Env, reqs []workload.Request, tokensOf TokensO
 	}
 	fcSec := fc(env, len(reqs))
 	syncSec := float64(p.syncCycles(env, len(reqs))) / cyclesPerSecond
-	stage, at, attnShare := composeStage(env, at, fcSec, syncSec, combine)
-	return stage, at, attnShare, nil
+	stage, attnShare := composeStage(env, at.Cycles, fcSec, syncSec, combine)
+	return stage, stageStats(env, at), attnShare, nil
 }
 
 // step evaluates one decode iteration for a batch: the iteration time in
@@ -176,4 +178,126 @@ func (p pimShared) step(ctx context.Context, env *Env, batch []workload.Request,
 	share /= float64(len(batch))
 	iterSec := sum + float64(env.PP-1)*max
 	return StepCost{Seconds: iterSec, AttnShare: share, Stats: stats}, nil
+}
+
+// oracleStepSlice prices one iteration on the per-iteration stepper
+// path the TCP run replaced: every request's base and base+1 slices are
+// looked up in the stepper's shape memo and the channel max is swept
+// over a rem-indexed excess histogram, for the whole batch, every
+// iteration. HFP prices through the production path, which re-prices
+// every iteration itself. It reads the stepper's memos and never its
+// run, so a test can compare a live run against it on one stepper.
+func oracleStepSlice(s *pimStepper, toks []int) (StepCost, error) {
+	stage := func(toks []int) (StepCost, error) {
+		if !s.tcp {
+			return s.hfpStage(toks)
+		}
+		at, err := oracleTCPAttention(s, toks)
+		if err != nil {
+			return StepCost{}, err
+		}
+		sec, share := composeStage(s.env, at.Cycles, s.fcCost(len(toks)), s.syncCost(len(toks)), s.combine)
+		return StepCost{Seconds: sec, AttnShare: share, Stats: stageStats(s.env, at)}, nil
+	}
+	if s.env.PP == 1 {
+		return stage(toks)
+	}
+	var cost StepCost
+	var max float64
+	for i := range toks {
+		c, err := stage(toks[i : i+1])
+		if err != nil {
+			return StepCost{}, err
+		}
+		cost.Seconds += c.Seconds
+		if c.Seconds > max {
+			max = c.Seconds
+		}
+		cost.AttnShare += c.AttnShare
+		cost.Stats.Cycles += c.Stats.Cycles
+		cost.Stats.Busy += c.Stats.Busy
+		cost.Stats.MACs += c.Stats.MACs
+		cost.Stats.IOBytes += c.Stats.IOBytes
+		cost.Stats.ActPre += c.Stats.ActPre
+		cost.Stats.Channels = c.Stats.Channels
+	}
+	cost.AttnShare /= float64(len(toks))
+	cost.Seconds += float64(s.env.PP-1) * max
+	return cost, nil
+}
+
+// oracleTCPAttention computes one layer's per-module TCP attention
+// Stats from scratch. TCP slices every (request, head) token range
+// evenly over all channels: rem channels carry base+1 tokens, the rest
+// base. A request adds C0 to every channel and (C1-C0) to channels
+// below its rem, so sums[ch] = ΣC0 + Σ_{rem>ch}(C1-C0): accumulate the
+// common term and a rem-indexed delta histogram and fold the channel
+// max in one sweep.
+func oracleTCPAttention(s *pimStepper, toks []int) (Stats, error) {
+	env := s.env
+	channels := env.Dev.Channels
+	var st Stats
+	st.Channels = channels
+	dd := make([]timing.Cycles, channels)
+	var base0, busy, softSum timing.Cycles
+	var macs, io, ap int64
+	heads := timing.Cycles(s.kvHeads)
+	kh := int64(s.kvHeads)
+	for _, tok := range toks {
+		t := tok
+		if s.tokenShard != 1 {
+			t = (tok + s.tokenShard - 1) / s.tokenShard
+		}
+		base, rem := t/channels, t%channels
+		var cyc0, mac0, cyc1, mac1 timing.Cycles
+		var macs0, io0, ap0, macs1, io1, ap1 int64
+		if base > 0 {
+			i0, err := s.price(base)
+			if err != nil {
+				return Stats{}, err
+			}
+			l := &s.lat[i0]
+			cyc0, mac0, macs0, io0, ap0 = l.Cycles, l.Breakdown.MAC, l.MACs, l.IOBytes, l.ActPre
+		}
+		if rem > 0 {
+			i1, err := s.price(base + 1)
+			if err != nil {
+				return Stats{}, err
+			}
+			l := &s.lat[i1]
+			cyc1, mac1, macs1, io1, ap1 = l.Cycles, l.Breakdown.MAC, l.MACs, l.IOBytes, l.ActPre
+		}
+		c0h := cyc0 * heads
+		base0 += c0h
+		if rem > 0 {
+			dd[rem] += cyc1*heads - c0h
+		}
+		n1 := int64(rem)
+		n0 := int64(channels - rem)
+		if base == 0 {
+			n0 = 0 // zero-token slices are not placed
+		}
+		busy += timing.Cycles((int64(mac1)*n1 + int64(mac0)*n0) * kh)
+		macs += (macs1*n1 + macs0*n0) * kh
+		io += (io1*n1 + io0*n0) * kh
+		ap += (ap1*n1 + ap0*n0) * kh
+		softSum += s.softmax(t)
+	}
+	st.Busy, st.MACs, st.IOBytes, st.ActPre = busy, macs, io, ap
+	var maxCh, suffix timing.Cycles
+	for ch := channels - 1; ch >= 0; ch-- {
+		if v := base0 + suffix; v > maxCh {
+			maxCh = v
+		}
+		suffix += dd[ch]
+	}
+	st.Cycles = maxCh
+	// EPU softmax: one per (request, query head) on this module, over
+	// the EPU lanes; then one lane-parallel SV reduction residue per
+	// (request, KV head).
+	qHeads := s.kvHeads * env.Model.GQAGroup
+	st.Cycles += softSum * timing.Cycles(qHeads) / epuLanes
+	red := env.Hub.ReduceCycles(channels, env.Model.HeadDim)
+	st.Cycles += red * timing.Cycles(len(toks)*s.kvHeads) / epuLanes
+	return st, nil
 }

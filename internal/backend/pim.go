@@ -153,21 +153,26 @@ func (pimShared) syncCycles(env *Env, batch int) timing.Cycles {
 	return 2 * (env.Dev.LinkLatency + per) // attention-out + FFN-out
 }
 
-// composeStage folds one layer's attention stats with the FC and TP
-// all-reduce costs into the per-stage time.
-func composeStage(env *Env, at Stats, fcSec, syncSec float64, combine combineFunc) (float64, Stats, float64) {
+// composeStage folds one layer's attention cycles with the FC and TP
+// all-reduce costs into the per-stage time and the attention share of
+// the layer. It reads nothing else of the layer's stats, so a stable
+// batch whose attention cycles hold re-uses the last fold.
+func composeStage(env *Env, attnCycles timing.Cycles, fcSec, syncSec float64, combine combineFunc) (stage, attnShare float64) {
 	layers := env.Model.Layers / env.PP
-	attnSec := float64(at.Cycles) / cyclesPerSecond
+	attnSec := float64(attnCycles) / cyclesPerSecond
 	layerSec := combine(attnSec, fcSec, syncSec)
-	stage := layerSec * float64(layers)
-	attnShare := attnSec / layerSec
-	// Scale the per-layer attention stats to the stage.
+	return layerSec * float64(layers), attnSec / layerSec
+}
+
+// stageStats scales one layer's attention stats to the stage.
+func stageStats(env *Env, at Stats) Stats {
+	layers := env.Model.Layers / env.PP
 	at.Cycles *= timing.Cycles(layers)
 	at.Busy *= timing.Cycles(layers)
 	at.MACs *= int64(layers)
 	at.IOBytes *= int64(layers)
 	at.ActPre *= int64(layers)
-	return stage, at, attnShare
+	return at
 }
 
 // iterEnergy prices one iteration's energy on the shared PIM model: the

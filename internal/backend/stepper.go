@@ -27,11 +27,34 @@ type Stepper interface {
 }
 
 // SliceStepper is the Stepper entry point the cluster step loops price
-// through, and the only one: toks[i] is batch[i]'s current KV length, so
-// no per-request TokensOf call is made. It must price identically to
-// Step. cluster.New rejects a backend whose stepper lacks it.
+// through: toks[i] is batch[i]'s current KV length, so no per-request
+// TokensOf call is made. It must price identically to Step. cluster.New
+// rejects a backend whose stepper lacks it. A serving leap prices
+// through RunStepper when the stepper offers it and through one
+// StepSlice call per iteration otherwise.
 type SliceStepper interface {
 	StepSlice(ctx context.Context, batch []workload.Request, toks []int) (StepCost, error)
+}
+
+// RunStepper is the optional SliceStepper extension a serving leap
+// prices through. A leap advances a stable batch — nothing admitted,
+// completed or preempted — by one token per request per iteration, so a
+// stepper that can advance its pricing state token by token prices the
+// whole leap as one run instead of re-pricing the batch every
+// iteration. cluster adapts a stepper without it (the GPU's, or a
+// forwarding wrapper's) to a run of StepSlice calls.
+type RunStepper interface {
+	// StartRun seeds a run at the batch's current KV lengths toks (the
+	// run keeps no reference to toks). The run's i-th Next, counting from
+	// 0, prices the iteration at toks+i bit for bit as StepSlice would.
+	// A stepper keeps one run: its next StartRun, Step or StepSlice call
+	// ends the current one.
+	StartRun(ctx context.Context, batch []workload.Request, toks []int) (StepRun, error)
+}
+
+// StepRun prices the consecutive iterations of a run.
+type StepRun interface {
+	Next() (StepCost, error)
 }
 
 // pimStepper is the pricer shared by the PIM-attention backends. A
@@ -44,7 +67,9 @@ type SliceStepper interface {
 // the per-channel cycle sums directly from those closed forms and
 // memoizes each priced shape, so a decode iteration touches the
 // perfmodel cache only when a token count the stepper has not seen yet
-// appears. Everything ahead of the final stage fold (composeStage) is
+// appears. Under TCP it goes further and prices a stable batch as a run
+// (pimRun) that advances each request's slice state by one token per
+// iteration. Everything ahead of the final stage fold (composeStage) is
 // integer arithmetic over the exact priced values the naive assignment
 // walk would sum, which keeps the StepCost bit-identical to it.
 type pimStepper struct {
@@ -52,53 +77,67 @@ type pimStepper struct {
 	shared  pimShared
 	fc      fcFunc
 	combine combineFunc
+	// compose is composeStage; tests wrap it to count a run's folds.
+	compose func(env *Env, attnCycles timing.Cycles, fcSec, syncSec float64, combine combineFunc) (float64, float64)
 
 	// geometry, resolved once per system
 	kvHeads    int
+	qHeads     int // kvHeads x GQA group: softmaxes per request
 	tokenShard int
+	channels   int
 	tcp        bool
 	capTokens  int // HFP force-split channel capacity
 	sc         perfmodel.Sched
 	baseline   bool
 	queries    int
 
-	// The memo tables are dense slices indexed by their small integer
-	// keys (per-channel token counts, micro-batch sizes) with parallel
-	// validity bitmaps: the serving hot path hits them once per request
-	// per iteration, where a map lookup's hashing dominated the lookup.
-	lat     []perfmodel.Latency // priceAttention by per-channel tokens
-	latOK   []bool
+	// lat holds every attention shape priced so far, append-only, and
+	// latIdx maps a per-channel token count to its entry; both start on
+	// the first price. lat[0] is the empty slice (zero tokens price to
+	// zero cycles), so a TCP request with no base or no base+1 slice
+	// indexes it without a branch. The index is a map rather than a table
+	// dense in the token count: HFP keys run to tens of thousands of
+	// tokens, and a dense table grows to the largest key on every System.
+	lat    []perfmodel.Latency
+	latIdx map[int]int32
+	// The batch-size memos are dense slices with parallel validity
+	// bitmaps: their keys are small.
 	fcSec   []float64 // FC cost by micro-batch size
 	fcOK    []bool
 	syncSec []float64 // TP all-reduce cost by micro-batch size
 	syncOK  []bool
-	chSum   []timing.Cycles // per-channel scratch
+	chSum   []timing.Cycles // per-channel scratch (channelSums)
 	red     timing.Cycles   // Hub.ReduceCycles(channels, HeadDim), constant per system
 	redOK   bool
 
 	// Softmax pricing constants hoisted out of Hub.SoftmaxCycles, which
-	// runs once per request per iteration: same arithmetic, no Device
-	// copy per call. (A per-token-count memo does not pay here — decode
-	// sweeps mostly-distinct token counts, so it never warms up.)
+	// runs once per request per HFP iteration or TCP seed: same
+	// arithmetic, no Device copy per call. (A per-token-count memo does
+	// not pay here — decode sweeps mostly-distinct token counts, so it
+	// never warms up.)
 	softEPT     int
 	softBase    timing.Cycles
 	softPerTile timing.Cycles
+
+	// run is the one pooled run: StartRun and StepSlice re-seed it, so a
+	// run allocates only when its batch outgrows every earlier one.
+	run pimRun
 }
 
 func newPIMStepper(env *Env, shared pimShared, fc fcFunc, combine combineFunc) *pimStepper {
 	kvHeads, tokenShard := shared.headGeometry(env)
 	sc, baseline := shared.schedKind(env)
 	s := &pimStepper{
-		env: env, shared: shared, fc: fc, combine: combine,
-		kvHeads: kvHeads, tokenShard: tokenShard,
-		tcp: env.Tech.TCP, sc: sc, baseline: baseline,
+		env: env, shared: shared, fc: fc, combine: combine, compose: composeStage,
+		kvHeads: kvHeads, qHeads: kvHeads * env.Model.GQAGroup, tokenShard: tokenShard,
+		channels: env.Dev.Channels, tcp: env.Tech.TCP, sc: sc, baseline: baseline,
 		queries: env.Model.GQAGroup,
-		chSum:   make([]timing.Cycles, env.Dev.Channels),
 
 		softEPT:     env.Dev.ElemsPerTile(),
 		softBase:    env.Dev.EPUSoftmaxBase,
 		softPerTile: env.Dev.EPUSoftmaxPerTile,
 	}
+	s.run.s = s
 	if !s.tcp {
 		s.capTokens = shared.headCapacityTokens(env)
 	}
@@ -112,8 +151,8 @@ func (s *pimStepper) softmax(scores int) timing.Cycles {
 }
 
 // Step implements Stepper.
-func (s *pimStepper) Step(_ context.Context, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
-	return s.stepToks(batchTokens(batch, tokensOf))
+func (s *pimStepper) Step(ctx context.Context, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
+	return s.StepSlice(ctx, batch, batchTokens(batch, tokensOf))
 }
 
 // batchTokens lists each batch member's current KV length in batch
@@ -126,53 +165,87 @@ func batchTokens(batch []workload.Request, tokensOf TokensOf) []int {
 	return toks
 }
 
-// StepSlice implements SliceStepper.
-func (s *pimStepper) StepSlice(_ context.Context, _ []workload.Request, toks []int) (StepCost, error) {
-	return s.stepToks(toks)
-}
-
-// stepToks prices one decode iteration. With PP stages the batch runs
-// as request-granular micro-batches: the iteration is the sum of the
-// per-request stage times plus (PP-1) bubbles of the longest one, the
-// attention stats accumulate over the micro-batches and the attention
-// share is their mean. The fold runs in request order, so its float
-// sums are the same at any batch size.
-func (s *pimStepper) stepToks(toks []int) (StepCost, error) {
-	if s.env.PP == 1 {
-		return s.stage(toks)
-	}
-	var cost StepCost
-	var max float64
-	for i := range toks {
-		c, err := s.stage(toks[i : i+1])
-		if err != nil {
-			return StepCost{}, err
-		}
-		cost.Seconds += c.Seconds
-		if c.Seconds > max {
-			max = c.Seconds
-		}
-		cost.AttnShare += c.AttnShare
-		cost.Stats.Cycles += c.Stats.Cycles
-		cost.Stats.Busy += c.Stats.Busy
-		cost.Stats.MACs += c.Stats.MACs
-		cost.Stats.IOBytes += c.Stats.IOBytes
-		cost.Stats.ActPre += c.Stats.ActPre
-		cost.Stats.Channels = c.Stats.Channels
-	}
-	cost.AttnShare /= float64(len(toks))
-	cost.Seconds += float64(s.env.PP-1) * max
-	return cost, nil
-}
-
-// stage prices one pipeline stage for a micro-batch.
-func (s *pimStepper) stage(toks []int) (StepCost, error) {
-	at, err := s.attention(toks)
+// StepSlice implements SliceStepper: the first iteration of a fresh run.
+func (s *pimStepper) StepSlice(ctx context.Context, batch []workload.Request, toks []int) (StepCost, error) {
+	run, err := s.StartRun(ctx, batch, toks)
 	if err != nil {
 		return StepCost{}, err
 	}
-	sec, stats, share := composeStage(s.env, at, s.fcCost(len(toks)), s.syncCost(len(toks)), s.combine)
-	return StepCost{Seconds: sec, AttnShare: share, Stats: stats}, nil
+	return run.Next()
+}
+
+// StartRun implements RunStepper.
+func (s *pimStepper) StartRun(_ context.Context, _ []workload.Request, toks []int) (StepRun, error) {
+	r := &s.run
+	r.started = false
+	if !s.tcp {
+		r.toks = append(r.toks[:0], toks...)
+		return r, nil
+	}
+	if err := r.seed(toks); err != nil {
+		r.sl = r.sl[:0] // no half-seeded slice survives into the next seed
+		return nil, err
+	}
+	return r, nil
+}
+
+// hfpStep prices one HFP decode iteration from scratch. With PP stages
+// the batch runs as request-granular micro-batches (pipeFold).
+func (s *pimStepper) hfpStep(toks []int) (StepCost, error) {
+	if s.env.PP == 1 {
+		return s.hfpStage(toks)
+	}
+	var p pipeFold
+	for i := range toks {
+		c, err := s.hfpStage(toks[i : i+1])
+		if err != nil {
+			return StepCost{}, err
+		}
+		p.add(c)
+	}
+	return p.cost(len(toks), s.env.PP), nil
+}
+
+// hfpStage prices one pipeline stage for an HFP micro-batch.
+func (s *pimStepper) hfpStage(toks []int) (StepCost, error) {
+	at, err := s.hfpAttention(toks)
+	if err != nil {
+		return StepCost{}, err
+	}
+	sec, share := s.compose(s.env, at.Cycles, s.fcCost(len(toks)), s.syncCost(len(toks)), s.combine)
+	return StepCost{Seconds: sec, AttnShare: share, Stats: stageStats(s.env, at)}, nil
+}
+
+// pipeFold sums request-granular micro-batch stages through PP stages:
+// the iteration is the sum of the per-request stage times plus (PP-1)
+// bubbles of the longest one, the attention stats accumulate over the
+// micro-batches and the attention share is their mean. add runs in
+// request order, so its float sums are the same at any batch size.
+type pipeFold struct {
+	sum StepCost
+	max float64
+}
+
+func (p *pipeFold) add(c StepCost) {
+	p.sum.Seconds += c.Seconds
+	if c.Seconds > p.max {
+		p.max = c.Seconds
+	}
+	p.sum.AttnShare += c.AttnShare
+	p.sum.Stats.Cycles += c.Stats.Cycles
+	p.sum.Stats.Busy += c.Stats.Busy
+	p.sum.Stats.MACs += c.Stats.MACs
+	p.sum.Stats.IOBytes += c.Stats.IOBytes
+	p.sum.Stats.ActPre += c.Stats.ActPre
+	p.sum.Stats.Channels = c.Stats.Channels
+}
+
+// cost closes the fold over n micro-batches on pp stages.
+func (p *pipeFold) cost(n, pp int) StepCost {
+	c := p.sum
+	c.AttnShare /= float64(n)
+	c.Seconds += float64(pp-1) * p.max
+	return c
 }
 
 func (s *pimStepper) fcCost(batch int) float64 {
@@ -206,121 +279,44 @@ func memoPut[T any](vals []T, ok []bool, k int, v T) ([]T, []bool) {
 
 // price memoizes priceAttention for one per-channel token count (the
 // query count is the GQA group for every work of a batch). It returns
-// the memo index rather than the Latency value so hot callers read the
-// few fields they need in place instead of copying the whole struct;
-// the index stays valid across later price calls (only the slice header
+// the lat index rather than the Latency value so callers read the few
+// fields they need in place instead of copying the whole struct; the
+// index stays valid across later price calls (only the slice header
 // moves on growth), but a *pointer* into s.lat would not.
-func (s *pimStepper) price(tokens int) (int, error) {
-	if tokens < len(s.latOK) && s.latOK[tokens] {
-		return tokens, nil
+func (s *pimStepper) price(tokens int) (int32, error) {
+	if i, ok := s.latIdx[tokens]; ok {
+		return i, nil
+	}
+	if s.latIdx == nil {
+		s.lat = append(s.lat, perfmodel.Latency{})
+		s.latIdx = map[int]int32{0: 0}
+		if tokens == 0 {
+			return 0, nil
+		}
 	}
 	l, err := s.shared.priceAttention(s.env, tokens, s.env.Model.HeadDim, s.queries, s.baseline, s.sc)
 	if err != nil {
 		return 0, err
 	}
-	s.lat, s.latOK = memoPut(s.lat, s.latOK, tokens, l)
-	return tokens, nil
+	i := int32(len(s.lat))
+	s.lat = append(s.lat, l)
+	s.latIdx[tokens] = i
+	return i, nil
 }
 
-// attention computes one layer's per-module attention Stats without
-// materializing the assignment; toks holds each batch member's current
-// KV length.
-func (s *pimStepper) attention(toks []int) (Stats, error) {
-	env := s.env
-	channels := env.Dev.Channels
-	var st Stats
-	st.Channels = channels
-	if s.tcp {
-		// TCP slices every (request, head) token range evenly over all
-		// channels: rem channels carry base+1 tokens, the rest base. The
-		// per-channel sums are never walked per request: a request adds
-		// C0 to every channel and (C1-C0) to channels below its rem, so
-		// sums[ch] = ΣC0 + Σ_{rem>ch}(C1-C0) — accumulate the common term
-		// and a rem-indexed delta histogram (all integer cycles, so the
-		// regrouping is exact) and fold the channel max in one sweep.
-		dd := s.chSum // zeroed by the previous sweep (or by make)
-		var base0, busy, softSum timing.Cycles
-		var macs, io, ap int64
-		heads := timing.Cycles(s.kvHeads)
-		kh := int64(s.kvHeads)
-		for _, tok := range toks {
-			t := tok
-			if s.tokenShard != 1 {
-				t = (tok + s.tokenShard - 1) / s.tokenShard
-			}
-			base, rem := t/channels, t%channels
-			var cyc0, mac0, cyc1, mac1 timing.Cycles
-			var macs0, io0, ap0, macs1, io1, ap1 int64
-			if base > 0 {
-				i0, err := s.price(base)
-				if err != nil {
-					return Stats{}, err
-				}
-				l := &s.lat[i0]
-				cyc0, mac0, macs0, io0, ap0 = l.Cycles, l.Breakdown.MAC, l.MACs, l.IOBytes, l.ActPre
-			}
-			if rem > 0 {
-				i1, err := s.price(base + 1)
-				if err != nil {
-					return Stats{}, err
-				}
-				l := &s.lat[i1]
-				cyc1, mac1, macs1, io1, ap1 = l.Cycles, l.Breakdown.MAC, l.MACs, l.IOBytes, l.ActPre
-			}
-			c0h := cyc0 * heads
-			base0 += c0h
-			if rem > 0 {
-				dd[rem] += cyc1*heads - c0h
-			}
-			n1 := int64(rem)
-			n0 := int64(channels - rem)
-			if base == 0 {
-				n0 = 0 // zero-token slices are not placed
-			}
-			busy += timing.Cycles((int64(mac1)*n1 + int64(mac0)*n0) * kh)
-			macs += (macs1*n1 + macs0*n0) * kh
-			io += (io1*n1 + io0*n0) * kh
-			ap += (ap1*n1 + ap0*n0) * kh
-			softSum += s.softmax(t)
-		}
-		st.Busy, st.MACs, st.IOBytes, st.ActPre = busy, macs, io, ap
-		var maxCh, suffix timing.Cycles
-		for ch := channels - 1; ch >= 0; ch-- {
-			if v := base0 + suffix; v > maxCh {
-				maxCh = v
-			}
-			suffix += dd[ch]
-			dd[ch] = 0
-		}
-		st.Cycles = maxCh
-		// EPU softmax: one per (request, query head) on this module,
-		// spread over the EPU lanes; the token segments are concatenated
-		// first, at no extra cost beyond the softmax itself.
-		qHeads := s.kvHeads * env.Model.GQAGroup
-		st.Cycles += softSum * timing.Cycles(qHeads) / epuLanes
-		// TCP pays one SV reduction per (request, KV head); the HUB
-		// reduces completed heads while the channels compute the next
-		// one, so only the lane-parallel EPU residue is exposed (the
-		// paper measures < 0.2% of attention latency).
-		if !s.redOK {
-			s.red = env.Hub.ReduceCycles(channels, env.Model.HeadDim)
-			s.redOK = true
-		}
-		st.Cycles += s.red * timing.Cycles(len(toks)*s.kvHeads) / epuLanes
-		return st, nil
-	}
-	sums := s.chSum
-	for i := range sums {
-		sums[i] = 0
-	}
+// hfpAttention computes one layer's per-module attention Stats under
+// head-first placement without materializing the assignment; toks holds
+// each batch member's current KV length.
+func (s *pimStepper) hfpAttention(toks []int) (Stats, error) {
+	channels := s.channels
+	st := Stats{Channels: channels}
+	sums := s.channelSums()
 	// HFP places whole (request, head) tiles round-robin, force-split
 	// at the channel capacity — the same placement order Assign uses.
+	// Every head of a request places the same tiles, so a request prices
+	// its (at most two) shapes once.
 	i := 0
-	place := func(tokens int) error {
-		idx, err := s.price(tokens)
-		if err != nil {
-			return err
-		}
+	place := func(idx int32) {
 		c := &s.lat[idx]
 		sums[i%channels] += c.Cycles
 		st.Busy += c.Breakdown.MAC
@@ -328,42 +324,390 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 		st.IOBytes += c.IOBytes
 		st.ActPre += c.ActPre
 		i++
-		return nil
 	}
+	var softmax timing.Cycles
 	for _, tok := range toks {
 		t := (tok + s.tokenShard - 1) / s.tokenShard
+		full, tail := 0, t
+		if s.capTokens > 0 && t > s.capTokens {
+			full = (t - 1) / s.capTokens
+			tail = t - full*s.capTokens
+		}
+		var fullIdx, tailIdx int32
+		var err error
+		if full > 0 {
+			if fullIdx, err = s.price(s.capTokens); err != nil {
+				return Stats{}, err
+			}
+		}
+		if tailIdx, err = s.price(tail); err != nil {
+			return Stats{}, err
+		}
 		for h := 0; h < s.kvHeads; h++ {
-			tt := t
-			if s.capTokens > 0 {
-				for tt > s.capTokens {
-					if err := place(s.capTokens); err != nil {
-						return Stats{}, err
-					}
-					tt -= s.capTokens
-				}
+			for k := 0; k < full; k++ {
+				place(fullIdx)
 			}
-			if tt > 0 {
-				if err := place(tt); err != nil {
-					return Stats{}, err
-				}
+			if tail > 0 {
+				place(tailIdx)
 			}
 		}
+		// EPU softmax: one per (request, query head), over the EPU lanes.
+		softmax += s.softmax(t) * timing.Cycles(s.qHeads)
 	}
-	var maxCh timing.Cycles
 	for _, c := range sums {
-		if c > maxCh {
-			maxCh = c
+		if c > st.Cycles {
+			st.Cycles = c
 		}
-	}
-	st.Cycles = maxCh
-	// EPU softmax: one per (request, query head), over the EPU lanes.
-	var softmax timing.Cycles
-	qHeads := s.kvHeads * env.Model.GQAGroup
-	for _, tok := range toks {
-		softmax += s.softmax((tok+s.tokenShard-1)/s.tokenShard) * timing.Cycles(qHeads)
 	}
 	st.Cycles += softmax / epuLanes
 	return st, nil
+}
+
+// pimRun is a pimStepper's run. Under TCP every (request, head) token
+// range is sliced evenly over all channels: rem channels carry base+1
+// tokens, the rest base. A decode token lands in exactly one channel's
+// slice, so each request's slice state (tcpSlice) advances by one token
+// per iteration, and its contribution to the layer changes shape only at
+// a few breakpoints: rem leaving zero (a base+1 slice appears) or
+// wrapping into the next base, where the new slice shapes are priced,
+// and its per-module token count entering a new softmax tile. Between
+// them its MAC and traffic counters grow by a fixed per-token slope and
+// its channel-sum terms hold. The run keeps the layer's sums over the
+// batch current token by token and folds the stage (composeStage) only
+// when the layer's attention cycles change. Every sum is integer cycles
+// or counts, so the regrouping is exact: the i-th iteration's StepCost
+// is bit-identical to pricing toks+i from scratch. HFP re-prices every
+// iteration from the advanced token counts.
+type pimRun struct {
+	s       *pimStepper
+	started bool // Next has priced the seed iteration
+
+	toks []int // HFP: the KV lengths of the iteration last priced
+
+	// TCP state. With PP stages every request is its own micro-batch
+	// with its own fold (folds, parallel to sl); the layer sums and fold
+	// below cover PP == 1.
+	sl      []tcpSlice
+	folds   []stageFold
+	fcSec   float64 // FC and all-reduce of the run's micro-batch size
+	syncSec float64
+	// base0 sums the base-slice cycles over every request and head, and
+	// sumD the (base+1)-slice excesses d: channel ch carries base0 plus
+	// the d of every request whose rem exceeds ch. neg counts negative
+	// excesses, where channel 0 need not be the longest.
+	base0, sumD timing.Cycles
+	neg         int
+	soft        timing.Cycles // Σ softmax(t)
+	cnt         counters
+	fold        stageFold
+}
+
+// tcpSlice is one request's TCP slice state within a run. Its per-module
+// KV token count t (the request's tokens over tokenShard, rounded up) is
+// base·channels + rem. A stepper keeps its largest batch's slices
+// between runs for the next seed to reuse, so the state is kept small.
+type tcpSlice struct {
+	left int // KV tokens until t advances (1 without token sharding)
+	base int // every channel holds base tokens of each head ...
+	rem  int // ... and channels below rem one more
+	// i0 and i1 index the base- and (base+1)-token slice prices in lat
+	// (0, the empty slice, when there is none).
+	i0, i1 int32
+	c0h    timing.Cycles // base-slice cycles over the heads
+	d      timing.Cycles // a (base+1)-slice's excess over c0h (0 when rem == 0)
+	soft   timing.Cycles // softmax(t)
+	cnt    counters      // the request's counters over every channel and head
+	slope  counters      // cnt's growth per token while base holds
+}
+
+// counters are a layer's MAC-busy cycles and MAC, IO-byte and ACT/PRE
+// counts.
+type counters struct {
+	busy         timing.Cycles
+	macs, io, ap int64
+}
+
+func (c *counters) add(o counters) {
+	c.busy += o.busy
+	c.macs += o.macs
+	c.io += o.io
+	c.ap += o.ap
+}
+
+func (c *counters) sub(o counters) {
+	c.busy -= o.busy
+	c.macs -= o.macs
+	c.io -= o.io
+	c.ap -= o.ap
+}
+
+// stageFold is the last composeStage result of a run's stage: the
+// fold reads only the layer's attention cycles (FC and all-reduce are
+// fixed for the run's micro-batch size), so it holds while they do. With
+// PP stages the micro-batch is always one request, so a request's fold
+// stays valid across runs.
+type stageFold struct {
+	cycles     timing.Cycles
+	sec, share float64
+	ok         bool
+}
+
+// seed sets the slice state of every request at toks. A slice's state
+// is a pure function of its token count, so a slice left by the last
+// run at the same position is kept when its count matches and advanced
+// when it is one token behind — the next leap or step of the same
+// batch; only the others are priced afresh.
+func (r *pimRun) seed(toks []int) error {
+	s := r.s
+	n := len(toks)
+	if s.env.PP > 1 {
+		n = 1
+	}
+	r.fcSec, r.syncSec = s.fcCost(n), s.syncCost(n)
+	if !s.redOK {
+		s.red = s.env.Hub.ReduceCycles(s.channels, s.env.Model.HeadDim)
+		s.redOK = true
+	}
+	r.base0, r.sumD, r.neg, r.soft = 0, 0, 0, 0
+	r.cnt, r.fold = counters{}, stageFold{}
+	kept := min(len(r.sl), len(toks))
+	r.sl = append(r.sl[:kept], make([]tcpSlice, len(toks)-kept)...)
+	if s.env.PP > 1 && len(r.folds) < len(toks) {
+		r.folds = append(r.folds, make([]stageFold, len(toks)-len(r.folds))...)
+	}
+	for j, tok := range toks {
+		sl := &r.sl[j]
+		if j < kept {
+			if d := tok - sl.tok(s); d == 0 || d == 1 {
+				r.include(sl)
+				r.soft += sl.soft
+				if d == 1 {
+					if err := r.step(sl); err != nil {
+						return err
+					}
+				}
+				continue
+			}
+		}
+		t := (tok + s.tokenShard - 1) / s.tokenShard
+		*sl = tcpSlice{left: t*s.tokenShard + 1 - tok, base: t / s.channels, rem: t % s.channels,
+			soft: s.softmax(t)}
+		r.soft += sl.soft
+		if err := r.place(sl); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tok is the KV length sl prices.
+func (sl *tcpSlice) tok(s *pimStepper) int {
+	return (sl.base*s.channels+sl.rem)*s.tokenShard + 1 - sl.left
+}
+
+// include adds sl's channel terms and counters to the layer sums.
+func (r *pimRun) include(sl *tcpSlice) {
+	r.base0 += sl.c0h
+	r.sumD += sl.d
+	if sl.d < 0 {
+		r.neg++
+	}
+	r.cnt.add(sl.cnt)
+}
+
+// place prices sl's base and base+1 slices, derives its channel terms,
+// counters and slopes, and adds it to the layer sums.
+func (r *pimRun) place(sl *tcpSlice) error {
+	s := r.s
+	var err error
+	if sl.i0, err = s.price(sl.base); err != nil {
+		return err
+	}
+	sl.i1 = 0
+	if sl.rem > 0 {
+		if sl.i1, err = s.price(sl.base + 1); err != nil {
+			return err
+		}
+	}
+	l0, l1 := &s.lat[sl.i0], &s.lat[sl.i1]
+	heads := timing.Cycles(s.kvHeads)
+	kh := int64(s.kvHeads)
+	sl.c0h = l0.Cycles * heads
+	sl.d = 0
+	if sl.rem > 0 {
+		sl.d = l1.Cycles*heads - sl.c0h
+	}
+	// rem channels hold a base+1 slice of every head, the rest a base
+	// slice (none when base is 0: l0 is the empty slice then).
+	n1, n0 := int64(sl.rem), int64(s.channels-sl.rem)
+	sl.cnt = counters{
+		busy: timing.Cycles((int64(l1.Breakdown.MAC)*n1 + int64(l0.Breakdown.MAC)*n0) * kh),
+		macs: (l1.MACs*n1 + l0.MACs*n0) * kh,
+		io:   (l1.IOBytes*n1 + l0.IOBytes*n0) * kh,
+		ap:   (l1.ActPre*n1 + l0.ActPre*n0) * kh,
+	}
+	sl.slope = counters{
+		busy: (l1.Breakdown.MAC - l0.Breakdown.MAC) * heads,
+		macs: (l1.MACs - l0.MACs) * kh,
+		io:   (l1.IOBytes - l0.IOBytes) * kh,
+		ap:   (l1.ActPre - l0.ActPre) * kh,
+	}
+	r.include(sl)
+	return nil
+}
+
+// unplace removes sl from the layer sums ahead of a re-place.
+func (r *pimRun) unplace(sl *tcpSlice) {
+	r.base0 -= sl.c0h
+	r.sumD -= sl.d
+	if sl.d < 0 {
+		r.neg--
+	}
+	r.cnt.sub(sl.cnt)
+}
+
+// step moves one request a KV token on, keeping the layer sums current.
+func (r *pimRun) step(sl *tcpSlice) error {
+	s := r.s
+	if sl.left--; sl.left > 0 {
+		return nil // token sharding: this module's share has not grown
+	}
+	sl.left = s.tokenShard
+	sl.rem++
+	if t := sl.base*s.channels + sl.rem; (t-1)%s.softEPT == 0 { // t entered a new softmax tile
+		sl.soft += s.softPerTile
+		r.soft += s.softPerTile
+	}
+	if sl.rem > 1 && sl.rem < s.channels {
+		// One more channel holds a base+1 slice: the channel terms hold
+		// and the counters grow by the slope.
+		sl.cnt.add(sl.slope)
+		r.cnt.add(sl.slope)
+		return nil
+	}
+	// Breakpoint: a base+1 slice appeared, or the slices wrapped into
+	// the next base.
+	r.unplace(sl)
+	if sl.rem == s.channels {
+		sl.base, sl.rem = sl.base+1, 0
+	}
+	return r.place(sl)
+}
+
+// Next implements StepRun.
+func (r *pimRun) Next() (StepCost, error) {
+	s := r.s
+	if !s.tcp {
+		if r.started {
+			for j := range r.toks {
+				r.toks[j]++
+			}
+		}
+		r.started = true
+		return s.hfpStep(r.toks)
+	}
+	if r.started {
+		for j := range r.sl {
+			if err := r.step(&r.sl[j]); err != nil {
+				r.sl = r.sl[:0] // no half-stepped slice survives into a seed
+				return StepCost{}, err
+			}
+		}
+	}
+	r.started = true
+	if s.env.PP == 1 {
+		return r.stage(&r.fold, r.layer(r.channelMax(), r.soft, r.cnt, len(r.sl))), nil
+	}
+	var p pipeFold
+	for j := range r.sl {
+		sl := &r.sl[j]
+		// A lone request's longest channel is a base+1 one when its
+		// excess is positive, a base one otherwise.
+		p.add(r.stage(&r.folds[j], r.layer(sl.c0h+max(sl.d, 0), sl.soft, sl.cnt, 1)))
+	}
+	return p.cost(len(r.sl), s.env.PP), nil
+}
+
+// channelMax is the longest channel's attention cycles over the batch.
+// Channel ch carries base0 plus the excess d of every request whose rem
+// exceeds ch, so channel 0 carries them all, and the sums change only
+// at the requests' rems: moving past a rem drops its excesses. With no
+// negative excess channel 0 is the longest; otherwise the longest is
+// channel 0 or the channel at a negative excess's rem. Those few
+// candidates are summed directly unless sweeping every channel is
+// cheaper.
+func (r *pimRun) channelMax() timing.Cycles {
+	maxCh := r.base0 + r.sumD
+	if r.neg == 0 {
+		return maxCh
+	}
+	if r.neg*len(r.sl) <= r.s.channels {
+		for j := range r.sl {
+			if r.sl[j].d >= 0 {
+				continue
+			}
+			v := r.base0
+			for k := range r.sl {
+				if r.sl[k].rem > r.sl[j].rem {
+					v += r.sl[k].d
+				}
+			}
+			maxCh = max(maxCh, v)
+		}
+		return maxCh
+	}
+	// Sweep the rem-indexed excess histogram from the last channel down.
+	dd := r.s.channelSums()
+	for j := range r.sl {
+		dd[r.sl[j].rem] += r.sl[j].d
+	}
+	var suffix timing.Cycles
+	for ch := len(dd) - 1; ch >= 0; ch-- {
+		maxCh = max(maxCh, r.base0+suffix)
+		suffix += dd[ch]
+	}
+	return maxCh
+}
+
+// channelSums returns the zeroed per-channel scratch. Only HFP pricing
+// and the TCP channel sweep use it, so a System that never needs it
+// (fleets of small TCP replicas) never allocates it.
+func (s *pimStepper) channelSums() []timing.Cycles {
+	if s.chSum == nil {
+		s.chSum = make([]timing.Cycles, s.channels)
+	}
+	clear(s.chSum)
+	return s.chSum
+}
+
+// layer assembles one layer's attention Stats for n requests from their
+// longest channel, softmax sum and counters.
+func (r *pimRun) layer(maxCh, soft timing.Cycles, cnt counters, n int) Stats {
+	s := r.s
+	// EPU softmax: one per (request, query head) on this module, spread
+	// over the EPU lanes; the token segments are concatenated first, at
+	// no extra cost beyond the softmax itself. TCP pays one SV reduction
+	// per (request, KV head); the HUB reduces completed heads while the
+	// channels compute the next one, so only the lane-parallel EPU
+	// residue is exposed (the paper measures < 0.2% of attention
+	// latency).
+	return Stats{
+		Cycles: maxCh + soft*timing.Cycles(s.qHeads)/epuLanes +
+			s.red*timing.Cycles(n*s.kvHeads)/epuLanes,
+		Busy: cnt.busy, MACs: cnt.macs, IOBytes: cnt.io, ActPre: cnt.ap,
+		Channels: s.channels,
+	}
+}
+
+// stage prices one stage of the run from its layer Stats, folding
+// through composeStage only when the attention cycles moved.
+func (r *pimRun) stage(f *stageFold, at Stats) StepCost {
+	s := r.s
+	if !f.ok || f.cycles != at.Cycles {
+		f.sec, f.share = s.compose(s.env, at.Cycles, r.fcSec, r.syncSec, s.combine)
+		f.cycles, f.ok = at.Cycles, true
+	}
+	return StepCost{Seconds: f.sec, AttnShare: f.share, Stats: stageStats(s.env, at)}
 }
 
 // NewStepper implements Incremental.

@@ -178,9 +178,13 @@ type System struct {
 	env *backend.Env
 	adm backend.Admission
 	// stepper is the backend's memoizing iteration pricer: iterate, and
-	// through it both the batch simulator and the serving engine, prices
-	// every decode iteration through its StepSlice and nothing else.
+	// through it both the batch simulator and the serving engine's Step,
+	// prices every decode iteration through its StepSlice; a serving leap
+	// prices through startRun.
 	stepper backend.SliceStepper
+	// adapt is the pooled run startRun hands out for a stepper that is
+	// not a backend.RunStepper, made on first use.
+	adapt *sliceRun
 }
 
 // New builds a simulator for a configuration.
@@ -488,13 +492,56 @@ func (s *System) iterate(ctx context.Context, m *meter, batch []workload.Request
 	if err != nil {
 		return cost, err
 	}
+	s.account(m, cost, len(batch))
+	return cost, nil
+}
+
+// account accrues one priced iteration of a batch of n on m.
+func (s *System) account(m *meter, cost backend.StepCost, n int) {
 	m.busy += cost.Stats.Busy
 	m.span += cost.Stats.Cycles
 	m.channels = cost.Stats.Channels
-	ae, fe := s.be.IterEnergy(s.env, cost, len(batch))
+	ae, fe := s.be.IterEnergy(s.env, cost, n)
 	m.attnE.Add(ae)
 	m.fcE.Add(fe)
-	return cost, nil
+}
+
+// startRun seeds a run over the consecutive iterations of a stable
+// batch at KV lengths toks: the stepper's own run when it is a
+// backend.RunStepper, otherwise a run of StepSlice calls. The run lives
+// until the next pricing call on this System.
+func (s *System) startRun(ctx context.Context, batch []workload.Request, toks []int) (backend.StepRun, error) {
+	if rs, ok := s.stepper.(backend.RunStepper); ok {
+		return rs.StartRun(ctx, batch, toks)
+	}
+	if s.adapt == nil {
+		s.adapt = &sliceRun{}
+	}
+	r := s.adapt
+	r.st, r.ctx, r.batch, r.started = s.stepper, ctx, batch, false
+	r.toks = append(r.toks[:0], toks...)
+	return r, nil
+}
+
+// sliceRun adapts a stepper without runs (the GPU's, or a forwarding
+// wrapper's) to a run: each Next prices the next iteration through
+// StepSlice.
+type sliceRun struct {
+	st      backend.SliceStepper
+	ctx     context.Context
+	batch   []workload.Request
+	toks    []int
+	started bool
+}
+
+func (r *sliceRun) Next() (backend.StepCost, error) {
+	if r.started {
+		for j := range r.toks {
+			r.toks[j]++
+		}
+	}
+	r.started = true
+	return r.st.StepSlice(r.ctx, r.batch, r.toks)
 }
 
 // meter is the per-iteration accounting the batch simulator (RunCtx) and

@@ -20,10 +20,11 @@ import (
 // batching is inherent to serving, so no ContinuousBatching toggle), and
 // reports per-step events — who was admitted, who generated a token, who
 // completed — from which the caller reconstructs per-request admission
-// and completion timestamps. Step and Leap run one iteration body: they
-// snapshot the batch and its token counts, price each iteration through
-// the system's stepper (StepSlice, the only pricing path) with the same
-// accounting RunCtx uses, and retire through one loop.
+// and completion timestamps. Step and Leap share one snapshot of the
+// batch and its token counts, the per-iteration accounting RunCtx uses,
+// and one retirement loop; Step prices its iteration through the
+// system's stepper's StepSlice, and a leap prices its stable stretch as
+// one run of that stepper.
 //
 // The engine also owns the serving-side failure mode static allocation
 // buys its way out of by over-reserving: under DPA, lazy chunk growth
@@ -293,11 +294,7 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 	for _, r := range res.Admitted {
 		if e.preempted[r.ID] {
 			delete(e.preempted, r.ID)
-			rc := s.PrefillSeconds(r.Context + e.grown[r.ID])
-			if e.timeScale != 1 {
-				rc *= e.timeScale
-			}
-			res.RecomputeSeconds += rc
+			res.RecomputeSeconds += e.scaled(s.PrefillSeconds(r.Context + e.grown[r.ID]))
 		}
 	}
 	batch, toks := e.snapshot()
@@ -394,11 +391,15 @@ func (e *Engine) price(ctx context.Context, batch []workload.Request, toks []int
 		return 0, err
 	}
 	e.steps++
-	sec := cost.Seconds
+	return e.scaled(cost.Seconds), nil
+}
+
+// scaled returns a priced duration at the engine's time scale.
+func (e *Engine) scaled(sec float64) float64 {
 	if e.timeScale != 1 {
 		sec *= e.timeScale
 	}
-	return sec, nil
+	return sec
 }
 
 // retire releases the active requests that finished — generation length
@@ -428,15 +429,16 @@ func (e *Engine) retire() ([]workload.Request, error) {
 // Leap advances the engine exactly as repeated Step calls would, but
 // fast-forwards through stretches where no serving event can occur: when
 // the batch is stable (nothing admissible, nothing completing) it
-// computes the event horizon analytically and prices N iterations in one
-// call against the memoized stepper, skipping the per-step admission
-// checks, map traffic and allocator probes. now is the caller's current
-// simulated time and until the time it is advancing toward (+Inf to
-// drain): the leap stops with the first iteration that ends at or past
-// until, mirroring the one-step advance loop, so clocks and event
-// timestamps are bit-identical to single stepping. When no leap is
-// possible (an event is at most one iteration away), Leap degenerates to
-// Step. A SetHorizon clamp additionally caps the iteration count, for
+// computes the event horizon analytically and prices the N iterations
+// as one run of the stepper (backend.RunStepper, or one StepSlice per
+// iteration for a stepper without runs), skipping the per-step
+// admission checks, map traffic and allocator probes. now is the
+// caller's current simulated time and until the time it is advancing
+// toward (+Inf to drain): the leap stops with the first iteration that
+// ends at or past until, mirroring the one-step advance loop, so clocks
+// and event timestamps are bit-identical to single stepping. When no
+// leap is possible (an event is at most one iteration away), Leap
+// degenerates to Step. A SetHorizon clamp additionally caps the iteration count, for
 // callers that inject events the analytic horizon cannot see.
 func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, error) {
 	n := e.leapDistance()
@@ -490,48 +492,55 @@ func (e *Engine) leapDistance() int {
 	return n
 }
 
-// fastForward prices n event-free iterations in one pass. The per-step
-// bookkeeping collapses to a token-slice increment and the memoized
-// stepper call; growth is committed as one batched Grow per request at
-// the end (within the allocator's budget, so it cannot allocate or
-// fail), followed by the same retire check a naive step ends with.
+// fastForward prices n event-free iterations in one pass. The batch is
+// stable, so the stepper prices the leap as one run seeded from the
+// snapshot's token counts; what stays per iteration is the accounting
+// (energy, busy and blocked time) and the until stop, in the order a
+// Step would accrue them. Growth is committed as one batched Grow per
+// request at the end (within the allocator's budget, so it cannot
+// allocate or fail), followed by the same retire check a naive step ends
+// with.
 func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (StepResult, error) {
 	s := e.sys
 	var res StepResult
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	// The token slice is the leap's whole per-iteration state: each
-	// advance is a slice increment instead of per-request map traffic.
 	batch, toks := e.snapshot()
 	res.Batch = len(batch)
 	e.sampleCapacity()
 	pending := len(e.ad.pending) > 0
+	run, err := s.startRun(ctx, batch, toks)
+	if err != nil {
+		return res, err
+	}
 	res.IterSeconds = e.secScratch[:0]
 	for i := 0; i < n && (i == 0 || now < until); i++ {
-		sec, err := e.price(ctx, batch, toks)
+		cost, err := run.Next()
 		if err != nil {
 			return res, err
 		}
+		s.account(&e.meter, cost, len(batch))
+		sec := e.scaled(cost.Seconds)
 		res.IterSeconds = append(res.IterSeconds, sec)
 		res.Seconds += sec
 		e.totalSec += sec
 		if pending {
 			e.blockedSec += sec
 		}
-		e.generated += len(batch)
-		e.outstanding -= len(batch)
 		now += sec
-		for j := range toks {
-			toks[j]++
-		}
 	}
 	e.secScratch = res.IterSeconds
 	res.Iterations = len(res.IterSeconds)
 	iters := res.Iterations
+	simTokens.Add(int64(iters * len(batch)))
+	e.steps += iters
+	e.generated += iters * len(batch)
+	e.outstanding -= iters * len(batch)
 	res.Generated = e.genScratch[:0]
 	for i, r := range batch {
 		e.grown[r.ID] += iters
+		toks[i] += iters
 		if err := e.ad.alloc.Grow(r.ID, toks[i]); err != nil {
 			return res, fmt.Errorf("cluster %s: in-budget leap growth failed for request %d: %w",
 				s.cfg.Name, r.ID, err)
