@@ -93,10 +93,10 @@ func checkRun(t testing.TB, s *pimStepper, toks []int, iters int) []int {
 // FuzzLeapRun pins a run's i-th StepCost to the oracle's StepSlice at
 // toks+i, bit for bit, across every PIM backend, TCP on and off, PP 1
 // and 4, token sharding, batches of 1-16 and runs long enough to cross
-// channel-wrap and softmax-tile boundaries. A second run then seeds
-// from the first one's slices: positions at the same or the next token
-// count are kept or advanced, the rest priced afresh, and the batch
-// grows or shrinks.
+// channel-wrap and softmax-tile boundaries. A second run on the same
+// stepper then starts from token counts at, near and far from the first
+// one's last iteration on a grown or shrunk batch: nothing of the first
+// run may leak into it.
 func FuzzLeapRun(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(5), int64(1), uint16(70), uint8(0))
 	f.Add(uint8(1), uint8(3), uint8(16), int64(2), uint16(40), uint8(1))
@@ -127,9 +127,8 @@ func FuzzLeapRun(f *testing.F) {
 			}
 		}
 		last := checkRun(t, s, toks, steps)
-		// Seed the next run from the last one's state: keep, advance by
-		// one (reused) or two (re-priced), move far, and grow or shrink
-		// the batch.
+		// Start the next run at the last iteration's token counts, one or
+		// two on, or far off, and grow or shrink the batch.
 		next := append([]int(nil), last...)
 		for j := range next {
 			switch (int(reseed) + j) % 4 {
@@ -224,14 +223,12 @@ func TestRunNonMonotoneTable(t *testing.T) {
 // TestRunFoldsOnlyWhenCyclesMove: a 1,000-iteration stable TCP run
 // calls composeStage only when the layer's attention cycles change —
 // once at the seed and once per change the oracle shows — and every
-// iteration still prices to the oracle.
+// iteration still prices to the oracle. A new seed at the last
+// iteration's token counts, whose cycles are unchanged, folds afresh:
+// a fold never outlives its run, whose batch size fixes the FC and
+// all-reduce terms it folds in.
 func TestRunFoldsOnlyWhenCyclesMove(t *testing.T) {
 	s := runStepper(t, 0, 3)
-	folds := 0
-	s.compose = func(env *Env, attnCycles timing.Cycles, fcSec, syncSec float64, combine combineFunc) (float64, float64) {
-		folds++
-		return composeStage(env, attnCycles, fcSec, syncSec, combine)
-	}
 	toks := []int{9000, 12000, 12001, 15500, 17000, 20000, 21333, 25000}
 	run, err := s.StartRun(context.Background(), nil, toks)
 	if err != nil {
@@ -256,10 +253,13 @@ func TestRunFoldsOnlyWhenCyclesMove(t *testing.T) {
 			changes++
 		}
 		prev = want.Stats.Cycles
-		for j := range toks {
-			toks[j]++
+		if i < iters-1 {
+			for j := range toks {
+				toks[j]++
+			}
 		}
 	}
+	folds := s.run.composes
 	if folds != changes {
 		t.Errorf("run folded %d times over %d iterations; the attention cycles changed %d times", folds, iters, changes)
 	}
@@ -267,4 +267,10 @@ func TestRunFoldsOnlyWhenCyclesMove(t *testing.T) {
 		t.Errorf("run folded %d times over %d iterations: a stable TCP batch should hold its cycles for most of them", folds, iters)
 	}
 	t.Logf("%d composeStage calls over %d iterations", folds, iters)
+	if _, err := s.StepSlice(context.Background(), nil, toks); err != nil {
+		t.Fatal(err)
+	}
+	if s.run.composes != 1 {
+		t.Errorf("a new seed at unchanged cycles folded %d times, want 1", s.run.composes)
+	}
 }

@@ -30,8 +30,8 @@ type Stepper interface {
 // through: toks[i] is batch[i]'s current KV length, so no per-request
 // TokensOf call is made. It must price identically to Step. cluster.New
 // rejects a backend whose stepper lacks it. A serving leap prices
-// through RunStepper when the stepper offers it and through one
-// StepSlice call per iteration otherwise.
+// through RunStepper when the stepper offers it and through a SliceRun
+// otherwise.
 type SliceStepper interface {
 	StepSlice(ctx context.Context, batch []workload.Request, toks []int) (StepCost, error)
 }
@@ -42,7 +42,7 @@ type SliceStepper interface {
 // stepper that can advance its pricing state token by token prices the
 // whole leap as one run instead of re-pricing the batch every
 // iteration. cluster adapts a stepper without it (the GPU's, or a
-// forwarding wrapper's) to a run of StepSlice calls.
+// forwarding wrapper's) through a SliceRun.
 type RunStepper interface {
 	// StartRun seeds a run at the batch's current KV lengths toks (the
 	// run keeps no reference to toks). The run's i-th Next, counting from
@@ -55,6 +55,36 @@ type RunStepper interface {
 // StepRun prices the consecutive iterations of a run.
 type StepRun interface {
 	Next() (StepCost, error)
+}
+
+// SliceRun is the run of a stepper that re-prices every iteration: each
+// Next prices the next iteration through one StepSlice call. The zero
+// value is ready for Start, and a SliceRun reused across runs allocates
+// only when its batch outgrows every earlier one.
+type SliceRun struct {
+	st      SliceStepper
+	ctx     context.Context
+	batch   []workload.Request
+	toks    []int
+	started bool
+}
+
+// Start seeds r over st at the batch's KV lengths toks (r keeps no
+// reference to toks), ending r's previous run.
+func (r *SliceRun) Start(ctx context.Context, st SliceStepper, batch []workload.Request, toks []int) {
+	r.st, r.ctx, r.batch, r.started = st, ctx, batch, false
+	r.toks = append(r.toks[:0], toks...)
+}
+
+// Next implements StepRun.
+func (r *SliceRun) Next() (StepCost, error) {
+	if r.started {
+		for j := range r.toks {
+			r.toks[j]++
+		}
+	}
+	r.started = true
+	return r.st.StepSlice(r.ctx, r.batch, r.toks)
 }
 
 // pimStepper is the pricer shared by the PIM-attention backends. A
@@ -77,8 +107,6 @@ type pimStepper struct {
 	shared  pimShared
 	fc      fcFunc
 	combine combineFunc
-	// compose is composeStage; tests wrap it to count a run's folds.
-	compose func(env *Env, attnCycles timing.Cycles, fcSec, syncSec float64, combine combineFunc) (float64, float64)
 
 	// geometry, resolved once per system
 	kvHeads    int
@@ -119,16 +147,18 @@ type pimStepper struct {
 	softBase    timing.Cycles
 	softPerTile timing.Cycles
 
-	// run is the one pooled run: StartRun and StepSlice re-seed it, so a
-	// run allocates only when its batch outgrows every earlier one.
+	// run is the one pooled TCP run and hfp the one HFP run: StartRun
+	// (and, under TCP, StepSlice) re-seeds them, so a run allocates only
+	// when its batch outgrows every earlier one.
 	run pimRun
+	hfp SliceRun
 }
 
 func newPIMStepper(env *Env, shared pimShared, fc fcFunc, combine combineFunc) *pimStepper {
 	kvHeads, tokenShard := shared.headGeometry(env)
 	sc, baseline := shared.schedKind(env)
 	s := &pimStepper{
-		env: env, shared: shared, fc: fc, combine: combine, compose: composeStage,
+		env: env, shared: shared, fc: fc, combine: combine,
 		kvHeads: kvHeads, qHeads: kvHeads * env.Model.GQAGroup, tokenShard: tokenShard,
 		channels: env.Dev.Channels, tcp: env.Tech.TCP, sc: sc, baseline: baseline,
 		queries: env.Model.GQAGroup,
@@ -137,7 +167,6 @@ func newPIMStepper(env *Env, shared pimShared, fc fcFunc, combine combineFunc) *
 		softBase:    env.Dev.EPUSoftmaxBase,
 		softPerTile: env.Dev.EPUSoftmaxPerTile,
 	}
-	s.run.s = s
 	if !s.tcp {
 		s.capTokens = shared.headCapacityTokens(env)
 	}
@@ -165,8 +194,12 @@ func batchTokens(batch []workload.Request, tokensOf TokensOf) []int {
 	return toks
 }
 
-// StepSlice implements SliceStepper: the first iteration of a fresh run.
+// StepSlice implements SliceStepper. Under TCP it is the first
+// iteration of a fresh run; HFP prices from scratch.
 func (s *pimStepper) StepSlice(ctx context.Context, batch []workload.Request, toks []int) (StepCost, error) {
+	if !s.tcp {
+		return s.hfpStep(toks)
+	}
 	run, err := s.StartRun(ctx, batch, toks)
 	if err != nil {
 		return StepCost{}, err
@@ -174,19 +207,17 @@ func (s *pimStepper) StepSlice(ctx context.Context, batch []workload.Request, to
 	return run.Next()
 }
 
-// StartRun implements RunStepper.
-func (s *pimStepper) StartRun(_ context.Context, _ []workload.Request, toks []int) (StepRun, error) {
-	r := &s.run
-	r.started = false
+// StartRun implements RunStepper. HFP re-prices every iteration, so its
+// run is a SliceRun over the stepper.
+func (s *pimStepper) StartRun(ctx context.Context, batch []workload.Request, toks []int) (StepRun, error) {
 	if !s.tcp {
-		r.toks = append(r.toks[:0], toks...)
-		return r, nil
+		s.hfp.Start(ctx, s, batch, toks)
+		return &s.hfp, nil
 	}
-	if err := r.seed(toks); err != nil {
-		r.sl = r.sl[:0] // no half-seeded slice survives into the next seed
+	if err := s.run.seed(s, toks); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return &s.run, nil
 }
 
 // hfpStep prices one HFP decode iteration from scratch. With PP stages
@@ -212,7 +243,7 @@ func (s *pimStepper) hfpStage(toks []int) (StepCost, error) {
 	if err != nil {
 		return StepCost{}, err
 	}
-	sec, share := s.compose(s.env, at.Cycles, s.fcCost(len(toks)), s.syncCost(len(toks)), s.combine)
+	sec, share := composeStage(s.env, at.Cycles, s.fcCost(len(toks)), s.syncCost(len(toks)), s.combine)
 	return StepCost{Seconds: sec, AttnShare: share, Stats: stageStats(s.env, at)}, nil
 }
 
@@ -376,17 +407,17 @@ func (s *pimStepper) hfpAttention(toks []int) (Stats, error) {
 // batch current token by token and folds the stage (composeStage) only
 // when the layer's attention cycles change. Every sum is integer cycles
 // or counts, so the regrouping is exact: the i-th iteration's StepCost
-// is bit-identical to pricing toks+i from scratch. HFP re-prices every
-// iteration from the advanced token counts.
+// is bit-identical to pricing toks+i from scratch.
 type pimRun struct {
 	s       *pimStepper
 	started bool // Next has priced the seed iteration
+	// composes counts composeStage calls since the seed, for the tests
+	// that pin how rarely a stable run folds.
+	composes int
 
-	toks []int // HFP: the KV lengths of the iteration last priced
-
-	// TCP state. With PP stages every request is its own micro-batch
-	// with its own fold (folds, parallel to sl); the layer sums and fold
-	// below cover PP == 1.
+	// With PP stages every request is its own micro-batch with its own
+	// fold (folds, parallel to sl); the layer sums and fold below cover
+	// PP == 1.
 	sl      []tcpSlice
 	folds   []stageFold
 	fcSec   float64 // FC and all-reduce of the run's micro-batch size
@@ -404,8 +435,7 @@ type pimRun struct {
 
 // tcpSlice is one request's TCP slice state within a run. Its per-module
 // KV token count t (the request's tokens over tokenShard, rounded up) is
-// base·channels + rem. A stepper keeps its largest batch's slices
-// between runs for the next seed to reuse, so the state is kept small.
+// base·channels + rem.
 type tcpSlice struct {
 	left int // KV tokens until t advances (1 without token sharding)
 	base int // every channel holds base tokens of each head ...
@@ -443,66 +473,39 @@ func (c *counters) sub(o counters) {
 
 // stageFold is the last composeStage result of a run's stage: the
 // fold reads only the layer's attention cycles (FC and all-reduce are
-// fixed for the run's micro-batch size), so it holds while they do. With
-// PP stages the micro-batch is always one request, so a request's fold
-// stays valid across runs.
+// fixed for the run's micro-batch size), so it holds while they do.
 type stageFold struct {
 	cycles     timing.Cycles
 	sec, share float64
 	ok         bool
 }
 
-// seed sets the slice state of every request at toks. A slice's state
-// is a pure function of its token count, so a slice left by the last
-// run at the same position is kept when its count matches and advanced
-// when it is one token behind — the next leap or step of the same
-// batch; only the others are priced afresh.
-func (r *pimRun) seed(toks []int) error {
-	s := r.s
+// seed starts the run at toks: every request's slices are priced
+// afresh and every fold is cleared, so nothing of the previous run
+// survives.
+func (r *pimRun) seed(s *pimStepper, toks []int) error {
+	*r = pimRun{s: s, sl: r.sl[:0], folds: r.folds[:0]}
 	n := len(toks)
 	if s.env.PP > 1 {
 		n = 1
+		r.folds = append(r.folds, make([]stageFold, len(toks))...)
 	}
 	r.fcSec, r.syncSec = s.fcCost(n), s.syncCost(n)
 	if !s.redOK {
 		s.red = s.env.Hub.ReduceCycles(s.channels, s.env.Model.HeadDim)
 		s.redOK = true
 	}
-	r.base0, r.sumD, r.neg, r.soft = 0, 0, 0, 0
-	r.cnt, r.fold = counters{}, stageFold{}
-	kept := min(len(r.sl), len(toks))
-	r.sl = append(r.sl[:kept], make([]tcpSlice, len(toks)-kept)...)
-	if s.env.PP > 1 && len(r.folds) < len(toks) {
-		r.folds = append(r.folds, make([]stageFold, len(toks)-len(r.folds))...)
-	}
-	for j, tok := range toks {
-		sl := &r.sl[j]
-		if j < kept {
-			if d := tok - sl.tok(s); d == 0 || d == 1 {
-				r.include(sl)
-				r.soft += sl.soft
-				if d == 1 {
-					if err := r.step(sl); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-		}
+	for _, tok := range toks {
 		t := (tok + s.tokenShard - 1) / s.tokenShard
-		*sl = tcpSlice{left: t*s.tokenShard + 1 - tok, base: t / s.channels, rem: t % s.channels,
-			soft: s.softmax(t)}
+		r.sl = append(r.sl, tcpSlice{left: t*s.tokenShard + 1 - tok, base: t / s.channels, rem: t % s.channels,
+			soft: s.softmax(t)})
+		sl := &r.sl[len(r.sl)-1]
 		r.soft += sl.soft
 		if err := r.place(sl); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// tok is the KV length sl prices.
-func (sl *tcpSlice) tok(s *pimStepper) int {
-	return (sl.base*s.channels+sl.rem)*s.tokenShard + 1 - sl.left
 }
 
 // include adds sl's channel terms and counters to the layer sums.
@@ -597,19 +600,9 @@ func (r *pimRun) step(sl *tcpSlice) error {
 // Next implements StepRun.
 func (r *pimRun) Next() (StepCost, error) {
 	s := r.s
-	if !s.tcp {
-		if r.started {
-			for j := range r.toks {
-				r.toks[j]++
-			}
-		}
-		r.started = true
-		return s.hfpStep(r.toks)
-	}
 	if r.started {
 		for j := range r.sl {
 			if err := r.step(&r.sl[j]); err != nil {
-				r.sl = r.sl[:0] // no half-stepped slice survives into a seed
 				return StepCost{}, err
 			}
 		}
@@ -704,8 +697,9 @@ func (r *pimRun) layer(maxCh, soft timing.Cycles, cnt counters, n int) Stats {
 func (r *pimRun) stage(f *stageFold, at Stats) StepCost {
 	s := r.s
 	if !f.ok || f.cycles != at.Cycles {
-		f.sec, f.share = s.compose(s.env, at.Cycles, r.fcSec, r.syncSec, s.combine)
+		f.sec, f.share = composeStage(s.env, at.Cycles, r.fcSec, r.syncSec, s.combine)
 		f.cycles, f.ok = at.Cycles, true
+		r.composes++
 	}
 	return StepCost{Seconds: f.sec, AttnShare: f.share, Stats: stageStats(s.env, at)}
 }

@@ -184,7 +184,7 @@ type System struct {
 	stepper backend.SliceStepper
 	// adapt is the pooled run startRun hands out for a stepper that is
 	// not a backend.RunStepper, made on first use.
-	adapt *sliceRun
+	adapt *backend.SliceRun
 }
 
 // New builds a simulator for a configuration.
@@ -508,40 +508,17 @@ func (s *System) account(m *meter, cost backend.StepCost, n int) {
 
 // startRun seeds a run over the consecutive iterations of a stable
 // batch at KV lengths toks: the stepper's own run when it is a
-// backend.RunStepper, otherwise a run of StepSlice calls. The run lives
-// until the next pricing call on this System.
+// backend.RunStepper, otherwise a backend.SliceRun of StepSlice calls.
+// The run lives until the next pricing call on this System.
 func (s *System) startRun(ctx context.Context, batch []workload.Request, toks []int) (backend.StepRun, error) {
 	if rs, ok := s.stepper.(backend.RunStepper); ok {
 		return rs.StartRun(ctx, batch, toks)
 	}
 	if s.adapt == nil {
-		s.adapt = &sliceRun{}
+		s.adapt = &backend.SliceRun{}
 	}
-	r := s.adapt
-	r.st, r.ctx, r.batch, r.started = s.stepper, ctx, batch, false
-	r.toks = append(r.toks[:0], toks...)
-	return r, nil
-}
-
-// sliceRun adapts a stepper without runs (the GPU's, or a forwarding
-// wrapper's) to a run: each Next prices the next iteration through
-// StepSlice.
-type sliceRun struct {
-	st      backend.SliceStepper
-	ctx     context.Context
-	batch   []workload.Request
-	toks    []int
-	started bool
-}
-
-func (r *sliceRun) Next() (backend.StepCost, error) {
-	if r.started {
-		for j := range r.toks {
-			r.toks[j]++
-		}
-	}
-	r.started = true
-	return r.st.StepSlice(r.ctx, r.batch, r.toks)
+	s.adapt.Start(ctx, s.stepper, batch, toks)
+	return s.adapt, nil
 }
 
 // meter is the per-iteration accounting the batch simulator (RunCtx) and

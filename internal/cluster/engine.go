@@ -370,6 +370,15 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 	return res, nil
 }
 
+// countIterations adds iters priced iterations of a batch of n to the
+// engine's step and token counters.
+func (e *Engine) countIterations(iters, n int) {
+	simTokens.Add(int64(iters * n))
+	e.steps += iters
+	e.generated += iters * n
+	e.outstanding -= iters * n
+}
+
 // snapshot copies the active batch (preemption and retirement mutate the
 // active slice) together with each member's current KV length in batch
 // order, both into scratch that lives until the next Step/Leap call.
@@ -518,6 +527,9 @@ func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (St
 	for i := 0; i < n && (i == 0 || now < until); i++ {
 		cost, err := run.Next()
 		if err != nil {
+			// The iterations before it are on the meter and the clocks
+			// already; count them too.
+			e.countIterations(i, len(batch))
 			return res, err
 		}
 		s.account(&e.meter, cost, len(batch))
@@ -533,10 +545,7 @@ func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (St
 	e.secScratch = res.IterSeconds
 	res.Iterations = len(res.IterSeconds)
 	iters := res.Iterations
-	simTokens.Add(int64(iters * len(batch)))
-	e.steps += iters
-	e.generated += iters * len(batch)
-	e.outstanding -= iters * len(batch)
+	e.countIterations(iters, len(batch))
 	res.Generated = e.genScratch[:0]
 	for i, r := range batch {
 		e.grown[r.ID] += iters

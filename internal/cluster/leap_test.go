@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -217,6 +218,63 @@ type oneShotStepper struct {
 
 func (o oneShotStepper) StepSlice(ctx context.Context, batch []workload.Request, toks []int) (backend.StepCost, error) {
 	return o.inc.NewStepper(o.env).(backend.SliceStepper).StepSlice(ctx, batch, toks)
+}
+
+// failingStepper forwards StepSlice to a stepper for its first left
+// calls and fails every later one. It is not a backend.RunStepper, so a
+// leap prices through a backend.SliceRun over it.
+type failingStepper struct {
+	st   backend.SliceStepper
+	left int
+}
+
+var errPricing = errors.New("pricing failed")
+
+func (f *failingStepper) StepSlice(ctx context.Context, batch []workload.Request, toks []int) (backend.StepCost, error) {
+	if f.left == 0 {
+		return backend.StepCost{}, errPricing
+	}
+	f.left--
+	return f.st.StepSlice(ctx, batch, toks)
+}
+
+// TestLeapErrorCountsPricedIterations: when pricing fails partway
+// through a leap, the iterations priced before the failure are on the
+// engine's step and token counters as well as on its meter and clocks,
+// exactly as a leap clamped to those iterations leaves them.
+func TestLeapErrorCountsPricedIterations(t *testing.T) {
+	cfg := engineConfig(t, PIMphony())
+	cfg.Tech.DPA = false // static reservations: no growth horizon
+	reqs := withDecode(workload.NewGenerator(workload.QMSum(), 11).Batch(8), 1<<20)
+	const k = 5
+	failed, clamped := engineFor(t, cfg, reqs), engineFor(t, cfg, reqs)
+	ctx := context.Background()
+	for _, e := range []*Engine{failed, clamped} {
+		if _, err := e.Step(ctx); err != nil { // admission
+			t.Fatal(err)
+		}
+	}
+	fs := &failingStepper{st: failed.sys.stepper, left: k}
+	failed.sys.stepper = fs
+	failed.SetHorizon(k + 1)
+	if _, err := failed.Leap(ctx, 0, math.Inf(1)); !errors.Is(err, errPricing) || fs.left != 0 {
+		t.Fatalf("leap returned %v after %d of %d pricing calls, want %v after all", err, k-fs.left, k, errPricing)
+	}
+	clamped.SetHorizon(k)
+	if res, err := clamped.Leap(ctx, 0, math.Inf(1)); err != nil || res.Iterations != k {
+		t.Fatalf("clamped leap ran %d iterations (%v), want %d", res.Iterations, err, k)
+	}
+	type counts struct {
+		steps, generated, outstanding int
+		totalSec, blockedSec          float64
+		meter                         meter
+	}
+	of := func(e *Engine) counts {
+		return counts{e.steps, e.generated, e.outstanding, e.totalSec, e.blockedSec, e.meter}
+	}
+	if got, want := of(failed), of(clamped); got != want {
+		t.Errorf("after a failed leap:\n%+v\nwant (clamped to the priced iterations)\n%+v", got, want)
+	}
 }
 
 // TestLeapReducesCacheLookups asserts the step-cost memoization's
