@@ -428,9 +428,9 @@ func centGQA72Env(tech Technique) *Env {
 // PIM-attention backend, technique mix and geometry, the memoized
 // pricer must return the exact StepCost the naive mapping.Assign oracle
 // (oracle_test.go) computes — bit for bit — across growing token counts
-// (bucket crossings included), changing batch compositions and
-// single-request batches, through both the TokensOf and the
-// batch-order slice entry points.
+// (perfmodel quantization-bucket crossings included), changing batch
+// compositions and single-request batches, through both the TokensOf
+// and the batch-order slice entry points.
 func TestStepperMatchesStep(t *testing.T) {
 	m := model.LLM7B32K()
 	gqa := model.LLM7B128KGQA()

@@ -20,6 +20,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"pimphony/internal/backend"
@@ -447,7 +448,7 @@ func (a *admitter) requeueFront(reqID int) error {
 	if err := a.release(reqID); err != nil {
 		return err
 	}
-	a.pending = append([]workload.Request{req}, a.pending...)
+	a.pending = slices.Insert(a.pending, 0, req)
 	return nil
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"pimphony/internal/energy"
 	"pimphony/internal/memory"
-	"pimphony/internal/perfmodel"
 	"pimphony/internal/workload"
 )
 
@@ -62,11 +61,9 @@ type Engine struct {
 	peakLive     int64
 	peakReserved int64
 	// horizon optionally clamps how many iterations one Leap may
-	// aggregate (0 = unbounded). The analytic event horizon only knows
-	// about this engine's own events; a fleet scheduler that injects
-	// external events (migration arrivals, handoffs) mid-drain sets a
-	// clamp so a drain leap cannot run arbitrarily far past the next
-	// global event, without falling back to SingleStep.
+	// aggregate (0 = unbounded, the serving default). It changes only
+	// the aggregation granularity, never the event stream; the
+	// equivalence tests sweep it.
 	horizon int
 	// timeScale multiplies every priced duration (decode iterations and
 	// KV recompute charges) — the fleet's transient-slowdown fault mode.
@@ -447,8 +444,8 @@ func (e *Engine) retire() ([]workload.Request, error) {
 // ends at or past until, mirroring the one-step advance loop, so clocks
 // and event timestamps are bit-identical to single stepping. When no
 // leap is possible (an event is at most one iteration away), Leap
-// degenerates to Step. A SetHorizon clamp additionally caps the iteration count, for
-// callers that inject events the analytic horizon cannot see.
+// degenerates to Step. A SetHorizon clamp additionally caps the
+// iteration count.
 func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, error) {
 	n := e.leapDistance()
 	if e.horizon > 0 && n > e.horizon {
@@ -462,11 +459,12 @@ func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, erro
 
 // leapDistance is the analytic event horizon: how many iterations can
 // run before an event requires the full Step path. The horizon is the
-// minimum over every active request of its tokens to completion, to
-// T_max truncation and to the next perfmodel quantization-bucket
-// crossing, and over the batch of the allocator's lockstep growth budget
-// (the next chunk/page allocation — the preemption trigger). Zero when
-// the engine is idle or the next iteration may admit a pending request.
+// minimum over every active request of its tokens to completion and to
+// T_max truncation, and over the batch of the allocator's lockstep
+// growth budget (the next chunk/page allocation — the preemption
+// trigger). Pricing needs no boundary of its own: the stepper's run
+// re-prices a slice's shape wherever it changes. Zero when the engine
+// is idle or the next iteration may admit a pending request.
 func (e *Engine) leapDistance() int {
 	ad := e.ad
 	if len(ad.active) == 0 || ad.wouldAdmit() {
@@ -477,17 +475,11 @@ func (e *Engine) leapDistance() int {
 	ids := e.idScratch[:0]
 	for _, r := range ad.active {
 		g := e.grown[r.ID]
-		tok := r.Context + g
 		if d := r.Decode - g; d < n {
 			n = d // next completion
 		}
-		if d := tmax - tok; d < n {
+		if d := tmax - r.Context - g; d < n {
 			n = d // T_max truncation
-		}
-		if end := perfmodel.BucketEnd(tok); end != math.MaxInt {
-			if d := end - tok + 1; d < n {
-				n = d // quantization-bucket crossing
-			}
 		}
 		ids = append(ids, r.ID)
 	}
@@ -559,8 +551,8 @@ func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (St
 	e.genScratch = res.Generated
 	e.sampleCapacity()
 	// Retire exactly as Step does. (A leap usually ends on a completion
-	// or truncation boundary, but an allocation or bucket horizon — or
-	// the until clamp — can end it with everyone still decoding.)
+	// or truncation boundary, but an allocation boundary, a SetHorizon
+	// clamp or the until stop can end it with everyone still decoding.)
 	done, err := e.retire()
 	if err != nil {
 		return res, err
@@ -574,11 +566,9 @@ func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (St
 func (e *Engine) Alloc() memory.Allocator { return e.ad.alloc }
 
 // SetHorizon clamps every subsequent Leap to at most n iterations
-// (0 removes the clamp). The clamp bounds how far a drain-phase leap
-// can overshoot an externally-injected event — a fleet scheduler's
-// migration arrival or KV handoff — that the engine's own analytic
-// horizon cannot see. Results remain bit-identical to single stepping
-// at any clamp; only the aggregation granularity changes.
+// (0, the default, leaves leaps unbounded). Results remain
+// bit-identical to single stepping at any clamp; only the aggregation
+// granularity changes, which is the axis the equivalence tests sweep.
 func (e *Engine) SetHorizon(n int) {
 	if n < 0 {
 		n = 0

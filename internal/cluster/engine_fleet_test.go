@@ -9,8 +9,8 @@ import (
 	"pimphony/internal/workload"
 )
 
-// fleetReqs is a mixed-length request set that exercises completions,
-// bucket crossings and DPA chunk growth inside leaps.
+// fleetReqs is a mixed-length request set that exercises completions
+// and DPA chunk growth inside leaps.
 func fleetReqs() []workload.Request {
 	gen := workload.NewGenerator(workload.QMSum(), 7)
 	reqs := gen.Batch(10)

@@ -166,6 +166,33 @@ func TestLeapMatchesStepEventStream(t *testing.T) {
 	}
 }
 
+// TestLeapSpansQuantizationBuckets: a leap stops only at serving
+// events. One static-allocation request grows from 1000 to 1200 tokens,
+// across several of perfmodel's quantization-bucket boundaries (1008,
+// 1024, 1056, ...), yet after its admitting Step one Leap runs all 199
+// remaining iterations, and a leap drain's trace equals single
+// stepping's.
+func TestLeapSpansQuantizationBuckets(t *testing.T) {
+	cfg := engineConfig(t, Technique{TCP: true, DCS: true})
+	reqs := []workload.Request{{ID: 1, Context: 1000, Decode: 200}}
+	e := engineFor(t, cfg, reqs)
+	if _, err := e.Step(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Leap(context.Background(), 0, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations != 199 || !e.Idle() {
+		t.Fatalf("leap ran %d of the 199 remaining iterations (idle %v)", res.Iterations, e.Idle())
+	}
+	step := drainTrace(t, engineFor(t, cfg, reqs), false)
+	leap := drainTrace(t, engineFor(t, cfg, reqs), true)
+	if !reflect.DeepEqual(step, leap) {
+		t.Fatalf("leap drain diverged from single stepping: %d vs %d iterations", len(leap), len(step))
+	}
+}
+
 func withDecode(reqs []workload.Request, base int) []workload.Request {
 	for i := range reqs {
 		reqs[i].Decode = base + i%7

@@ -57,3 +57,38 @@ func TestLeapAllocFree(t *testing.T) {
 		t.Fatalf("batch not stable through the measurement: %d active (was %d), %d steps", e.Active(), stable, e.Steps())
 	}
 }
+
+// TestRequeueFrontAllocFree: a preemption puts its victim back at the
+// head of the pending queue in place, so a requeue into a queue with
+// spare capacity allocates nothing and keeps the queue's order.
+func TestRequeueFrontAllocFree(t *testing.T) {
+	cfg := engineConfig(t, Technique{TCP: true, DCS: true})
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad, err := sys.newAdmitter(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := workload.Request{ID: 1, Context: 1000, Decode: 8}
+	queued := workload.Request{ID: 2, Context: 1000, Decode: 8}
+	queue := make([]workload.Request, 1, 4)
+	requeue := func() {
+		if err := ad.alloc.Admit(victim.ID, victim.Context); err != nil {
+			t.Fatal(err)
+		}
+		ad.active = append(ad.active[:0], victim)
+		queue[0] = queued
+		ad.pending = queue[:1]
+		if err := ad.requeueFront(victim.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(100, requeue); a != 0 {
+		t.Errorf("requeueFront allocated %v times per call", a)
+	}
+	if len(ad.active) != 0 || len(ad.pending) != 2 || ad.pending[0] != victim || ad.pending[1] != queued {
+		t.Fatalf("after requeue: active %v, pending %v; want [] and [victim queued]", ad.active, ad.pending)
+	}
+}

@@ -44,7 +44,7 @@ func BenchmarkPriceHot(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Tokens = 16384 + i%64 // decode-step token drift stays in-bucket
+		q.Tokens = 16384 + i%64 // decode-step drift over two buckets, 16384 and 16896
 		if _, err := s.Price(q); err != nil {
 			b.Fatal(err)
 		}

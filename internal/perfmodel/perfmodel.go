@@ -20,7 +20,6 @@ package perfmodel
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -195,37 +194,6 @@ func quantize(tokens int) int {
 // fixed setup and tail work, and float truncation moves results by a
 // cycle or so.
 const maxAttnSimTokens = 1 << 16
-
-// Bucket returns the quantization bucket an attention token count is
-// priced from: the quantized (and simulation-capped) token count whose
-// cold simulation Price scales linearly to the exact count. Two token
-// counts share a bucket exactly when they are priced from the same
-// cached simulation — the invariant the serving engine's step-cost
-// memoization keys on. GEMV shapes are not quantized and have no bucket.
-func Bucket(tokens int) int {
-	if tokens >= maxAttnSimTokens {
-		return maxAttnSimTokens
-	}
-	q := quantize(tokens)
-	if q > maxAttnSimTokens {
-		q = maxAttnSimTokens
-	}
-	return q
-}
-
-// BucketEnd returns the largest token count sharing tokens' quantization
-// bucket — the event horizon after which a growing attention shape needs
-// a different cached simulation. Quantization rounds up to a multiple of
-// the octave step, so the bucket value itself is the boundary; past the
-// simulation cap every count scales from the capped simulation, making
-// the final bucket unbounded (math.MaxInt).
-func BucketEnd(tokens int) int {
-	b := Bucket(tokens)
-	if b >= maxAttnSimTokens {
-		return math.MaxInt
-	}
-	return b
-}
 
 // Price returns the latency of a kernel query.
 func (s *Service) Price(q Query) (Latency, error) {

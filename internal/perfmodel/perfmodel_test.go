@@ -159,21 +159,20 @@ func TestKindStrings(t *testing.T) {
 
 func TestBucketMatchesPriceQuantization(t *testing.T) {
 	s := New(timing.AiM16())
-	// Walking a token count through its bucket must not trigger new
-	// simulations; crossing BucketEnd must move to a new bucket.
+	// quantize rounds a count up to its bucket's end, so the end is
+	// quantize(count) itself. Walking a token count through its bucket
+	// must not trigger new simulations; the count one past the end must
+	// move to a new bucket.
 	for _, start := range []int{65, 100, 1000, 4096, 100000} {
-		end := BucketEnd(start)
+		end := quantize(start)
 		if end < start {
-			t.Fatalf("BucketEnd(%d) = %d below the count itself", start, end)
+			t.Fatalf("quantize(%d) = %d below the count itself", start, end)
 		}
-		if end == math.MaxInt {
-			continue // the unbounded final bucket at the simulation cap
+		if quantize(end) != end {
+			t.Fatalf("bucket end %d of %d left the bucket", end, start)
 		}
-		if Bucket(end) != Bucket(start) {
-			t.Fatalf("BucketEnd(%d) = %d left the bucket", start, end)
-		}
-		if Bucket(end+1) == Bucket(start) {
-			t.Fatalf("bucket did not change past BucketEnd(%d) = %d", start, end)
+		if quantize(end+1) == end {
+			t.Fatalf("bucket did not change past its end %d (from %d)", end, start)
 		}
 		if _, err := s.Price(Query{Kernel: QKT, Tokens: start, Dh: 128, Queries: 1, Sched: DCS}); err != nil {
 			t.Fatal(err)
@@ -191,8 +190,8 @@ func TestBucketMatchesPriceQuantization(t *testing.T) {
 	}
 	// Small counts are their own buckets (quantization is exact there).
 	for n := 1; n <= 64; n++ {
-		if Bucket(n) != n || BucketEnd(n) != n {
-			t.Fatalf("Bucket(%d) = %d end %d, want exact", n, Bucket(n), BucketEnd(n))
+		if quantize(n) != n || quantize(n+1) == n {
+			t.Fatalf("quantize(%d) = %d, want its own bucket", n, quantize(n))
 		}
 	}
 }

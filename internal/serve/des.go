@@ -134,10 +134,10 @@ type event struct {
 
 // readyKey marks a ready entry's key; the low bits hold its replica.
 // A ready entry is a busy replica's next engine-call boundary — its
-// clock. Popping it advances that replica by one (horizon-clamped)
-// engine call; a leap cut short by Engine.SetHorizon simply re-arms the
-// entry at the new clock, so horizon expiry needs no separate
-// bookkeeping. Only the interleaved discipline arms these.
+// clock. Popping it advances that replica by one engine call, bounded
+// by the next entry; a leap cut short by Engine.SetHorizon simply
+// re-arms the entry at the new clock, so horizon expiry needs no
+// separate bookkeeping. Only the interleaved discipline arms these.
 const readyKey = 1 << 63
 
 // entry is one heap slot, kept small because the heap moves entries on

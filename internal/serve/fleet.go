@@ -32,11 +32,11 @@
 // via the tracker one engine call at a time in global clock order, and
 // a global event (arrival, handoff completion, migration/steal
 // landing) is dispatched only once every busy replica has simulated up
-// to it, with Engine.SetHorizon bounding how far one leap can
-// overshoot. Everything is deterministic, and the fleet loop is
-// internally sequential — tables over fleets sweep across grid points,
-// not inside one run — so fleet tables are byte-identical at any sweep
-// parallelism.
+// to it. Each engine call is bounded by the next heap entry, so a leap
+// stops with the iteration that reaches it. Everything is
+// deterministic, and the fleet loop is internally sequential — tables
+// over fleets sweep across grid points, not inside one run — so fleet
+// tables are byte-identical at any sweep parallelism.
 package serve
 
 import (
@@ -48,11 +48,6 @@ import (
 	"pimphony/internal/timing"
 	"pimphony/internal/workload"
 )
-
-// fleetLeapHorizon is the default Engine.SetHorizon clamp for fleet
-// replicas: long enough to amortize leap pricing, short enough that a
-// replica cannot run far past a migration or handoff landing on it.
-const fleetLeapHorizon = 64
 
 // Role assigns a fleet replica to a phase of the request lifecycle.
 type Role int
@@ -307,10 +302,6 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 	if fs.placement == nil {
 		fs.placement = KVHeadroom()
 	}
-	horizon := cfg.LeapHorizon
-	if horizon == 0 {
-		horizon = fleetLeapHorizon
-	}
 	bpt := int64(-1)
 	for si, spec := range cfg.Fleet {
 		if b := spec.System.Model.KVBytesPerToken(); bpt < 0 {
@@ -331,7 +322,7 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 			if err != nil {
 				return nil, err
 			}
-			eng.SetHorizon(horizon)
+			eng.SetHorizon(cfg.LeapHorizon)
 			fr := &fleetReplica{replica: replica{sys: sys, eng: eng}, role: spec.Role, spec: si}
 			if spec.Role == RoleUnified {
 				fr.pre = &prefillServer{sys: sys, spec: si}

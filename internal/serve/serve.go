@@ -129,11 +129,10 @@ type Config struct {
 	// mode only; nil keeps every replica online for the whole run. Like
 	// Policy, each Run needs a fresh instance.
 	Autoscaler Autoscaler
-	// LeapHorizon caps iterations per engine leap in fleet mode, so a
-	// draining replica cannot run arbitrarily far past the next global
-	// event (0 = the fleetLeapHorizon default). Fleet mode only.
-	// Reports are identical at any value; only simulation granularity
-	// changes.
+	// LeapHorizon caps iterations per engine leap in fleet mode (0 =
+	// unbounded: a leap stops only at its engine's own events and the
+	// next global event). Fleet mode only. Reports are identical at any
+	// value; only simulation granularity changes.
 	LeapHorizon int
 	// Faults injects deterministic replica failures — crashes, transient
 	// slowdowns, interconnect degradation — compiled into explicit heap
